@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // The page-group wire frame: because a group already holds records as
@@ -33,11 +34,12 @@ type ByteReader interface {
 // Snapshot writes the group as a framed page sequence and returns the
 // number of bytes written: uvarint page count, then for each page a
 // uvarint length and the page's used bytes, emitted straight from the
-// page — no per-record work, no staging copy.
-func (g *Group) Snapshot(w io.Writer) (int64, error) {
+// page — no per-record work, no staging copy. hdr is the caller's
+// scratch for the varint headers (w may retain what it is handed, so a
+// local array would escape on every call).
+func (g *Group) Snapshot(w io.Writer, hdr *[binary.MaxVarintLen64]byte) (int64, error) {
 	g.checkLive()
 	var written int64
-	var hdr [binary.MaxVarintLen64]byte
 	n, err := w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(g.pages)))])
 	written += int64(n)
 	if err != nil {
@@ -117,6 +119,16 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d: implausible length %d", i, plen)
 		}
+		// An oversized page's body is read before its page is taken, so
+		// a corrupt length fails on the short read instead of after a
+		// length-sized allocation; regular pages stream straight in.
+		var body []byte
+		if int(plen) > m.pageSize {
+			if body, err = readGrowing(r, int(plen)); err != nil {
+				g.Release()
+				return nil, fmt.Errorf("memory: restore page %d body: %w", i, err)
+			}
+		}
 		page := m.getPage(int(plen))[:plen]
 		// Append the page directly — Alloc would pack small source pages
 		// together and break the Ptr address space.
@@ -125,10 +137,29 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 			g.adopted = append(g.adopted, false)
 		}
 		g.bytes += int64(plen)
-		if _, err := io.ReadFull(r, page); err != nil {
+		if body != nil {
+			copy(page, body)
+		} else if _, err := io.ReadFull(r, page); err != nil {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d body: %w", i, err)
 		}
 	}
 	return g, nil
+}
+
+// readGrowing reads exactly n bytes into a buffer that doubles as the
+// bytes arrive instead of being sized from n up front.
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 1<<20))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	want = append(want, big)
 
 	var buf bytes.Buffer
-	n, err := g.Snapshot(&buf)
+	n, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSnapshotEmptyGroup(t *testing.T) {
 	g := m.NewGroup()
 	defer g.Release()
 	var buf bytes.Buffer
-	if _, err := g.Snapshot(&buf); err != nil {
+	if _, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()))
@@ -91,7 +92,7 @@ func TestRestoreGroupTruncatedAndCorrupt(t *testing.T) {
 	g.Append(bytes.Repeat([]byte{1}, 50))
 	g.Append(bytes.Repeat([]byte{2}, 50))
 	var buf bytes.Buffer
-	if _, err := g.Snapshot(&buf); err != nil {
+	if _, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
 		t.Fatal(err)
 	}
 	g.Release()
@@ -126,7 +127,7 @@ func TestSnapshotAfterAdoption(t *testing.T) {
 	b.Release()
 
 	var buf bytes.Buffer
-	if _, err := a.Snapshot(&buf); err != nil {
+	if _, err := a.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()))

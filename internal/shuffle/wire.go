@@ -52,6 +52,13 @@ const (
 // rejecting corrupt headers before they turn into huge allocations.
 const maxWireCount = 1 << 31
 
+// maxWireHint caps every allocation a decoder sizes from a count it has
+// read but not yet backed with bytes (map presizing, pointer slabs and
+// arrays, key buffers): a corrupt count up to maxWireCount then fails on
+// the short read that follows instead of allocating gigabytes first.
+// Storage beyond the hint grows with the bytes actually decoded.
+const maxWireHint = 1 << 16
+
 //
 // Encode/decode plumbing.
 //
@@ -100,19 +107,13 @@ func (e *wireEncoder) lenBytes(b []byte) error {
 	return e.raw(b)
 }
 
-// ptr writes a pointer as two fixed little-endian uint32s: bulk-copyable
-// on both ends, which keeps the Deca frames' per-record cost at a memcpy.
-func (e *wireEncoder) ptr(p memory.Ptr) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(p.Page))
-	binary.LittleEndian.PutUint32(b[4:], uint32(p.Off))
-	return e.raw(b[:])
-}
-
-// ptrChunk is how many pointers ptrs/readPtrs stage per bulk write/read.
+// ptrChunk is how many pointers ptrs/appendPtrs stage per bulk
+// write/read.
 const ptrChunk = 1024
 
-// ptrs writes a pointer array in chunked bulk writes.
+// ptrs writes a pointer array in chunked bulk writes, each pointer as two
+// fixed little-endian uint32s: bulk-copyable on both ends, which keeps
+// the Deca frames' per-record cost at a memcpy.
 func (e *wireEncoder) ptrs(ps []memory.Ptr) error {
 	buf := e.stage(8 * min(len(ps), ptrChunk))
 	for len(ps) > 0 {
@@ -152,28 +153,25 @@ func readCount(r WireReader, name string) (int, error) {
 }
 
 // readLenBytes reads a uvarint length prefix and that many bytes into buf
-// (grown as needed, reused across calls).
+// (grown as needed, reused across calls). Past maxWireHint the buffer
+// grows with the bytes read, at most doubling per read, so a corrupt
+// length fails on the short read rather than after a length-sized
+// allocation.
 func readLenBytes(r WireReader, buf []byte, name string) ([]byte, error) {
 	n, err := readCount(r, name)
 	if err != nil {
 		return buf, err
 	}
-	buf = slices.Grow(buf[:0], n)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, fmt.Errorf("shuffle: %s bytes: %w", name, err)
+	buf = buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), max(len(buf), maxWireHint))
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+k]); err != nil {
+			return buf, fmt.Errorf("shuffle: %s bytes: %w", name, err)
+		}
+		buf = buf[:len(buf)+k]
 	}
 	return buf, nil
-}
-
-func readPtr(r WireReader) (memory.Ptr, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return memory.Ptr{}, fmt.Errorf("shuffle: ptr: %w", err)
-	}
-	return memory.Ptr{
-		Page: int32(binary.LittleEndian.Uint32(b[:4])),
-		Off:  int32(binary.LittleEndian.Uint32(b[4:])),
-	}, nil
 }
 
 // checkKeyLen rejects a length-prefixed key whose byte count contradicts
@@ -206,23 +204,44 @@ func checkPtrs(g *memory.Group, ptrs []memory.Ptr, name string) error {
 	return nil
 }
 
-// readPtrs bulk-reads n pointers in chunks.
-func readPtrs(r WireReader, dst []memory.Ptr) error {
-	var buf [8 * ptrChunk]byte
-	for len(dst) > 0 {
-		n := min(len(dst), ptrChunk)
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return fmt.Errorf("shuffle: ptr array: %w", err)
+// appendPtrs bulk-reads m pointers in chunks and appends them to dst.
+// The chunks stage through scratch, the frame's one decode buffer (grown
+// to at most one chunk, returned for reuse like readLenBytes' buf).
+// Within dst's capacity nothing is allocated; past it dst grows chunk by
+// chunk as the bytes arrive, so a corrupt count fails on the short read
+// rather than after a count-sized allocation.
+func appendPtrs(r WireReader, dst []memory.Ptr, m int, scratch []byte) ([]memory.Ptr, []byte, error) {
+	for m > 0 {
+		n := min(m, ptrChunk)
+		scratch = slices.Grow(scratch[:0], 8*n)[:8*n]
+		if _, err := io.ReadFull(r, scratch); err != nil {
+			return dst, scratch, fmt.Errorf("shuffle: ptr array: %w", err)
 		}
-		for i := range dst[:n] {
-			dst[i] = memory.Ptr{
-				Page: int32(binary.LittleEndian.Uint32(buf[8*i:])),
-				Off:  int32(binary.LittleEndian.Uint32(buf[8*i+4:])),
-			}
+		dst = slices.Grow(dst, n)
+		for i := 0; i < n; i++ {
+			dst = append(dst, memory.Ptr{
+				Page: int32(binary.LittleEndian.Uint32(scratch[8*i:])),
+				Off:  int32(binary.LittleEndian.Uint32(scratch[8*i+4:])),
+			})
 		}
-		dst = dst[n:]
+		m -= n
 	}
-	return nil
+	return dst, scratch, nil
+}
+
+// carvePtrs returns an empty pointer array with capacity m carved from
+// the front of slab, and the slab's uncarved rest; when slab is too short
+// a fresh one of max(m, want) pointers (want capped at maxWireHint)
+// replaces it. Carving lets one decoded frame's per-key arrays share a
+// few slab allocations instead of taking one each. Every carved array is
+// capped at its length (a full slice expression): a later Put or
+// MergeFrom append on one key reallocates and copies out instead of
+// overwriting the next key's pointers.
+func carvePtrs(slab []memory.Ptr, m, want int) (ptrs, rest []memory.Ptr) {
+	if m > len(slab) {
+		slab = make([]memory.Ptr, max(m, min(want, maxWireHint)))
+	}
+	return slab[:0:m], slab[m:]
 }
 
 // encodeSpills streams every spill run: uvarint run count, then per run a
@@ -298,7 +317,7 @@ func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error {
 	// (len-prefixed key bytes + fixed 8-byte pointer) accumulate in a
 	// chunk and flush in ~8 KiB writes, so the per-key cost stays at a
 	// few appends rather than several writer calls. This deliberately
-	// bypasses the lenBytes/ptr helpers DecaGroup's (much shorter) key
+	// bypasses the lenBytes/ptrs helpers DecaGroup's (much shorter) key
 	// section uses: the wire experiment measures the helper form at
 	// roughly half this encode throughput, and the agg key table is the
 	// container's entire per-record cost.
@@ -322,7 +341,7 @@ func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error {
 		return err
 	}
 	e.scratch = chunk[:0]
-	if _, err := b.group.Snapshot(e.w); err != nil {
+	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
 		return err
 	}
 	if err := encodeSpills(e, b.spills); err != nil {
@@ -356,7 +375,11 @@ func DecodeDecaAgg[K comparable, V any](
 		b.Release()
 		return nil, err
 	}
+	// One buffer stages every key and pointer of the frame; the presized
+	// table never rehashes while the key section streams in.
+	b.slots = make(map[K]memory.Ptr, min(n, maxWireHint))
 	var buf []byte
+	var ptr [1]memory.Ptr
 	for i := 0; i < n; i++ {
 		if buf, err = readLenBytes(r, buf, "DecaAgg key"); err != nil {
 			b.Release()
@@ -367,12 +390,11 @@ func DecodeDecaAgg[K comparable, V any](
 			return nil, err
 		}
 		k, _ := keyCodec.Decode(buf)
-		ptr, err := readPtr(r)
-		if err != nil {
+		if _, buf, err = appendPtrs(r, ptr[:0], 1, buf); err != nil {
 			b.Release()
 			return nil, err
 		}
-		b.slots[k] = ptr
+		b.slots[k] = ptr[0]
 	}
 	g, err := mem.RestoreGroup(r)
 	if err != nil {
@@ -508,7 +530,7 @@ func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error {
 			return err
 		}
 	}
-	if _, err := b.group.Snapshot(e.w); err != nil {
+	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
 		return err
 	}
 	if err := encodeSpills(e, b.spills); err != nil {
@@ -535,7 +557,14 @@ func DecodeDecaGroup[K comparable, V any](
 		b.Release()
 		return nil, err
 	}
+	// Per-frame decode state: one staging buffer for keys and pointer
+	// chunks, a presized table, and slabs the pointer arrays are carved
+	// from, each sized for the keys left at the frame's pointers-per-key
+	// so far. An array past maxWireHint (a huge key, or a corrupt count)
+	// gets its own storage, grown as its bytes arrive.
+	b.slots = make(map[K][]memory.Ptr, min(n, maxWireHint))
 	var buf []byte
+	var slab []memory.Ptr
 	for i := 0; i < n; i++ {
 		if buf, err = readLenBytes(r, buf, "DecaGroup key"); err != nil {
 			b.Release()
@@ -551,8 +580,12 @@ func DecodeDecaGroup[K comparable, V any](
 			b.Release()
 			return nil, err
 		}
-		ptrs := make([]memory.Ptr, m)
-		if err := readPtrs(r, ptrs); err != nil {
+		var ptrs []memory.Ptr
+		if m <= maxWireHint {
+			perKey := (b.count + m + i) / (i + 1) // rounded up
+			ptrs, slab = carvePtrs(slab, m, perKey*(n-i))
+		}
+		if ptrs, buf, err = appendPtrs(r, ptrs, m, buf); err != nil {
 			b.Release()
 			return nil, err
 		}
@@ -679,7 +712,7 @@ func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error {
 	if err := e.ptrs(b.ptrs); err != nil {
 		return err
 	}
-	if _, err := b.group.Snapshot(e.w); err != nil {
+	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
 		return err
 	}
 	if err := encodeSpills(e, b.spills); err != nil {
@@ -708,8 +741,8 @@ func DecodeDecaSort[K comparable, V any](
 		b.Release()
 		return nil, err
 	}
-	b.ptrs = make([]memory.Ptr, n)
-	if err := readPtrs(r, b.ptrs); err != nil {
+	b.ptrs, _, err = appendPtrs(r, make([]memory.Ptr, 0, min(n, maxWireHint)), n, nil)
+	if err != nil {
 		b.Release()
 		return nil, err
 	}

@@ -40,6 +40,10 @@ type DataServer struct {
 
 	mu     sync.Mutex
 	closed bool
+	conns  map[net.Conn]struct{} // accepted connections still being served
+	// serves counts the accept loop and every serve goroutine; Close
+	// waits on it, so no serve outlives the server.
+	serves sync.WaitGroup
 }
 
 // SetRecorder attaches an observability recorder; each successful serve
@@ -60,10 +64,12 @@ func NewDataServer(addr string) (*DataServer, error) {
 		return nil, fmt.Errorf("transport: listening on %s: %w", addr, err)
 	}
 	s := &DataServer{
-		ln:   ln,
-		addr: ln.Addr().String(),
+		ln:    ln,
+		addr:  ln.Addr().String(),
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.store.init()
+	s.serves.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -109,8 +115,11 @@ func (s *DataServer) Pending() int {
 	return s.store.pending()
 }
 
-// Close shuts the listener. Registered payloads are not touched; take or
-// drop them first. In-flight serves finish on their own connections.
+// Close shuts the listener, closes every accepted connection and waits
+// for their serves to drain: an in-flight serve fails its next write,
+// releases its frame and unpins its entry before Close returns, so the
+// serve-side ledgers (frame segments, pinned entries) are exact once it
+// does. Registered payloads are not touched; take or drop them first.
 func (s *DataServer) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -118,17 +127,32 @@ func (s *DataServer) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
-	return s.ln.Close()
+	err := s.ln.Close()
+	s.serves.Wait()
+	return err
 }
 
 // acceptLoop serves the listener until Close.
 func (s *DataServer) acceptLoop() {
+	defer s.serves.Done()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.serves.Add(1)
+		s.mu.Unlock()
 		go s.serve(conn)
 	}
 }
@@ -140,7 +164,13 @@ func (s *DataServer) acceptLoop() {
 // write error drops the connection but never the registration: the
 // entry was pinned, not consumed, so the fetcher's retry re-serves it.
 func (s *DataServer) serve(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.serves.Done()
+	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
@@ -157,8 +187,9 @@ func (s *DataServer) serve(conn net.Conn) {
 // serveOne answers a single FETCH. Segment payloads take the vectored
 // path (staged headers flushed, then page buffers via one writev batch
 // and spill files via the kernel's sendfile path); other payloads stage
-// their frame into a pooled buffer. Returns false when the connection
-// should be dropped.
+// their frame into a pooled buffer. Either way the statusServeEnd
+// trailer follows the frame once it is released and the entry unpinned.
+// Returns false when the connection should be dropped.
 func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) bool {
 	p, e, ok := s.store.beginServe(id)
 	if !ok {
@@ -182,7 +213,7 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 		}
 		fs.Release()
 		s.store.endServe(e)
-		return sent
+		return sent && writeServeEnd(bw)
 	}
 
 	frame := s.store.getBuf()
@@ -202,7 +233,7 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 	}
 	ok = writeFrameHeader(bw, int64(frame.Len())) &&
 		writeAll(bw, frame.Bytes()) &&
-		bw.Flush() == nil
+		writeServeEnd(bw)
 	if ok {
 		s.store.userCopyBytes.Add(int64(frame.Len()))
 		s.rec.Record(obs.Event{
@@ -249,16 +280,22 @@ func (s *DataServer) writeSegments(conn net.Conn, bw *bufio.Writer, fs *FrameSeg
 	return flushBatch()
 }
 
+// writeServeEnd sends the trailer that follows every frame once the
+// serve has released it and unpinned its entry.
+func writeServeEnd(bw *bufio.Writer) bool {
+	return bw.WriteByte(statusServeEnd) == nil && bw.Flush() == nil
+}
+
 func writeNotFound(bw *bufio.Writer) bool {
 	return bw.WriteByte(statusNotFound) == nil && bw.Flush() == nil
 }
 
+// writeFrameHeader builds the status byte and length varint in bw's own
+// free buffer space (AvailableBuffer), so a serve's header allocates
+// nothing.
 func writeFrameHeader(bw *bufio.Writer, n int64) bool {
-	var hdr [binary.MaxVarintLen64]byte
-	if bw.WriteByte(statusOK) != nil {
-		return false
-	}
-	return writeAll(bw, hdr[:binary.PutUvarint(hdr[:], uint64(n))])
+	hdr := append(bw.AvailableBuffer(), statusOK)
+	return writeAll(bw, binary.AppendUvarint(hdr, uint64(n)))
 }
 
 func writeAll(bw *bufio.Writer, b []byte) bool {
@@ -458,18 +495,20 @@ func (c *DataClient) Close() {
 // failed for being slow, keeping slow-but-healthy transfers out of the
 // retry path. The opener must consume the frame exactly: leftover bytes
 // would corrupt the next request on this pooled connection, so under-
-// consumption is an error (and the caller retires the connection).
+// consumption is an error (and the caller retires the connection). The
+// trailer is read after the frame on every healthy stream, a failed
+// decode included, so the fetch returns only once the serve has released
+// its frame.
 func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOpen) (Decoded, int64, bool, error) {
 	if timeout > 0 {
 		if err := c.c.SetDeadline(time.Now().Add(timeout)); err != nil {
 			return Decoded{}, 0, false, err
 		}
 	}
-	var hdr [3 * binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(hdr[:], uint64(id.Shuffle))
-	k += binary.PutUvarint(hdr[k:], uint64(id.MapTask))
-	k += binary.PutUvarint(hdr[k:], uint64(id.Reduce))
-	if _, err := c.bw.Write(hdr[:k]); err != nil {
+	req := binary.AppendUvarint(c.bw.AvailableBuffer(), uint64(id.Shuffle))
+	req = binary.AppendUvarint(req, uint64(id.MapTask))
+	req = binary.AppendUvarint(req, uint64(id.Reduce))
+	if _, err := c.bw.Write(req); err != nil {
 		return Decoded{}, 0, false, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -497,11 +536,20 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 	}
 	fr := &frameReader{conn: c, remaining: int64(n), timeout: timeout}
 	dec, err := open(fr, int64(n))
+	if err == nil && fr.remaining > 0 {
+		err = fmt.Errorf("transport: decoder left %d of %d frame bytes unread", fr.remaining, n)
+	}
 	if err != nil {
+		// Read out the frame and its trailer anyway, so the serve has
+		// let go of the frame when the failed fetch returns. A stream
+		// that fails here is retired with err all the same.
+		if _, derr := io.Copy(io.Discard, fr); derr == nil {
+			_ = c.readServeEnd()
+		}
 		return Decoded{}, 0, false, err
 	}
-	if fr.remaining > 0 {
-		return Decoded{}, 0, false, fmt.Errorf("transport: decoder left %d of %d frame bytes unread", fr.remaining, n)
+	if err := c.readServeEnd(); err != nil {
+		return Decoded{}, 0, false, err
 	}
 	if timeout > 0 {
 		// Clear the deadline so a pooled connection does not time out idle.
@@ -510,6 +558,18 @@ func (c *dataConn) fetchInto(id MapOutputID, timeout time.Duration, open FrameOp
 		}
 	}
 	return dec, int64(n), true, nil
+}
+
+// readServeEnd reads the trailer after a frame.
+func (c *dataConn) readServeEnd() error {
+	b, err := c.br.ReadByte()
+	if err != nil {
+		return err
+	}
+	if b != statusServeEnd {
+		return fmt.Errorf("transport: frame trailer %d, want %d", b, statusServeEnd)
+	}
+	return nil
 }
 
 // wireOpen is the legacy opener: materialize the whole frame.

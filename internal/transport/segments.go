@@ -3,6 +3,7 @@ package transport
 import (
 	"io"
 	"os"
+	"sync"
 )
 
 // This file is the vectored serve seam: a FrameSegments is a payload's
@@ -28,6 +29,13 @@ import (
 // as more segments are staged (append never reallocates within a chunk).
 const stageChunkSize = 64 << 10
 
+// stageChunks recycles scratch chunks across frames. A frame takes its
+// chunks here and hands them back in Release — after the last byte of
+// every segment staged in them has been written or abandoned — so a
+// chunk's lifetime is bounded by its frame's. Oversized staging requests
+// get a dedicated chunk that is never pooled.
+var stageChunks = sync.Pool{New: func() any { return new([stageChunkSize]byte) }}
+
 // Seg is one wire-order piece of a frame: either staged/page bytes
 // (Buf != nil) or a file-backed run of Size bytes (File != nil).
 type Seg struct {
@@ -48,9 +56,10 @@ type FrameSegments struct {
 	fileBytes int64 // bytes referenced from spill files
 	pages     int   // page segments referenced in place
 
-	chunk       []byte // current scratch chunk; subslices are stable
-	lastInChunk bool   // last segment is a staged run ending at len(chunk)
-	lastStart   int    // its start offset in chunk
+	chunk       []byte                  // current scratch chunk; subslices are stable
+	pooled      []*[stageChunkSize]byte // chunks taken from stageChunks
+	lastInChunk bool                    // last segment is a staged run ending at len(chunk)
+	lastStart   int                     // its start offset in chunk
 	released    bool
 }
 
@@ -59,25 +68,28 @@ func NewFrameSegments() *FrameSegments {
 	return &FrameSegments{}
 }
 
-// Stage reserves n bytes of scratch at the frame's current position and
-// returns them for the caller to fill (varint headers, key tables).
-// Adjacent staged runs coalesce into one segment, so fine-grained
-// staging still yields few writev iovecs.
+// Stage reserves n zeroed bytes of scratch at the frame's current
+// position and returns them for the caller to fill (varint headers, key
+// tables). Adjacent staged runs coalesce into one segment, so
+// fine-grained staging still yields few writev iovecs.
 func (fs *FrameSegments) Stage(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
 	if n > cap(fs.chunk)-len(fs.chunk) {
-		c := stageChunkSize
-		if n > c {
-			c = n
+		if n <= stageChunkSize {
+			c := stageChunks.Get().(*[stageChunkSize]byte)
+			fs.pooled = append(fs.pooled, c)
+			fs.chunk = c[:0]
+		} else {
+			fs.chunk = make([]byte, 0, n)
 		}
-		fs.chunk = make([]byte, 0, c)
 		fs.lastInChunk = false
 	}
 	start := len(fs.chunk)
 	fs.chunk = fs.chunk[:start+n]
 	b := fs.chunk[start : start+n : start+n]
+	clear(b) // a pooled chunk holds an earlier frame's bytes
 	fs.staged += int64(n)
 	if fs.lastInChunk {
 		fs.segs[len(fs.segs)-1].Buf = fs.chunk[fs.lastStart : start+n : start+n]
@@ -138,10 +150,11 @@ func (fs *FrameSegments) FileBytes() int64 { return fs.fileBytes }
 // Pages is the number of page segments served in place.
 func (fs *FrameSegments) Pages() int { return fs.pages }
 
-// Release ends the frame's lifetime: closes every file segment and runs
-// the producer's release hooks. Must be called exactly once; a second
-// call panics (use-after-release of the referenced pages would corrupt
-// an in-flight serve).
+// Release ends the frame's lifetime: closes every file segment, runs
+// the producer's release hooks and returns the scratch chunks to the
+// pool. Must be called exactly once; a second call panics
+// (use-after-release of the referenced pages or recycled chunks would
+// corrupt an in-flight serve).
 func (fs *FrameSegments) Release() {
 	if fs.released {
 		panic("transport: FrameSegments released twice")
@@ -155,7 +168,10 @@ func (fs *FrameSegments) Release() {
 	for _, release := range fs.owners {
 		release()
 	}
-	fs.segs, fs.owners, fs.chunk = nil, nil, nil
+	for _, c := range fs.pooled {
+		stageChunks.Put(c)
+	}
+	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
 }
 
 // segmentsReader streams a frame's segments as one io.Reader — the

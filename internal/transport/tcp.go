@@ -42,10 +42,15 @@ type TCP struct {
 
 // Protocol constants. Every request and response is length-delimited by
 // construction: the request is three uvarints, the response a status byte
-// followed (on a hit) by a uvarint frame length and the frame.
+// followed (on a hit) by a uvarint frame length, the frame, and a
+// statusServeEnd trailer. The server sends the trailer only after the
+// serve has released the frame and unpinned its entry, so a fetch that
+// has read it — successful or not — leaves nothing pinned on the serving
+// side: the serve-side ledgers are exact when FetchInto returns.
 const (
 	statusNotFound byte = 0
 	statusOK       byte = 1
+	statusServeEnd byte = 2
 
 	// maxWireFrame bounds a response frame length read off the wire.
 	maxWireFrame = 1 << 32
@@ -277,11 +282,13 @@ func (t *TCP) Stats() Stats {
 	return st
 }
 
-// Close shuts every listener and drains every pooled connection; a fetch
-// that was in flight during Close closes its connection on return rather
-// than re-pooling it. Registered payloads are left to the caller (Drop
-// them first); in-flight serves finish on their own connections.
-// Idempotent.
+// Close drains every pooled connection, then shuts every listener and
+// waits for every node's in-flight serves to release their frames
+// (DataServer.Close); closing the client side first lets the serve
+// goroutines wind down on EOF while the rest closes. A fetch that was in
+// flight during Close closes its connection on return rather than
+// re-pooling it. Registered payloads are left to the caller (Drop them
+// first). Idempotent.
 func (t *TCP) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -290,9 +297,9 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	t.mu.Unlock()
+	t.client.Close()
 	for _, n := range t.nodes {
 		n.Close()
 	}
-	t.client.Close()
 	return nil
 }
