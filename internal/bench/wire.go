@@ -184,10 +184,11 @@ func WireThroughput(o Options) (*Report, error) {
 // serveFetchRows measures the data plane end to end: a DataServer serving
 // Deca frames through a real socket pair, fetched by a pooled DataClient,
 // vectored (writev page segments, sendfile spill runs) against buffered
-// (the frame staged through Encode into one contiguous buffer). Sort
-// containers carry the frames because their byte stream is deterministic
-// (a pointer array, no map iteration), so the two serve paths must
-// produce bit-identical frames — the checksum row enforces it. The
+// (an Encode-only payload: the frame staged through EncodeWire into one
+// contiguous buffer). Sort containers carry the frames because their
+// byte stream is deterministic (a pointer array, no map iteration), so
+// the two serve paths must produce bit-identical frames — EncodeWire
+// writes out the same segments, and the checksum row enforces it. The
 // userspace-copy metric records how many frame bytes each path staged
 // through user memory per fetch: the buffered path stages the whole
 // frame, the vectored path only its varint headers and pointer tables.

@@ -199,12 +199,6 @@ type Config struct {
 	// the measured baseline of the merge experiment. Default off: Deca
 	// reduce tasks adopt map-output page groups by reference.
 	DisableZeroCopyMerge bool
-	// DisableVectoredServe forces every serve onto the buffered Encode
-	// path — the frame staged into one buffer before writing — instead of
-	// attaching segment encoders to Deca payloads (writev page segments,
-	// sendfile spill runs). The measured baseline of the wire experiment's
-	// serve rows. Default off: Deca payloads serve vectored.
-	DisableVectoredServe bool
 	// TransportKind selects how shuffle map output crosses executors:
 	// TransportInProcess (default) by pointer, TransportTCP as wire
 	// frames over per-executor loopback sockets.

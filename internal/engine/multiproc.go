@@ -245,7 +245,20 @@ func (c *Context) recoverMissingOutput(dataset, epoch int) {
 	if epoch != c.epochOf(dataset) {
 		return
 	}
-	c.ReleaseShuffle(dataset)
+	// Release under the state lock (ReleaseEpoch), not through
+	// ReleaseShuffle: a follower finishes its side of an exchange before
+	// the driver's side returns, so the report can name a materialization
+	// still in flight here. ReleaseShuffle would find it not yet
+	// registered and skip it, leaving the driver holding an epoch every
+	// follower drops — the retry's NeedShuffle would then never announce
+	// a new one. ReleaseEpoch waits for the materialization to finish.
+	c.shufMu.Lock()
+	st := c.shuffleReg[dataset]
+	c.shufMu.Unlock()
+	if st == nil {
+		return
+	}
+	st.ReleaseEpoch(epoch)
 	c.driver.d.ReleaseDataset(dataset, epoch)
 	// Followers process the release broadcast asynchronously; a beat here
 	// keeps the reporting task's immediate retry from racing it and

@@ -12,32 +12,36 @@ import (
 // The codec registry: the seam between the generic shuffle operators and
 // the payload-agnostic transport. Each keyed-shuffle operator registers
 // one wireCodec for its sink shape (built from the same PairOps both
-// sides of the exchange share), the exchange hands the transport only the
-// codec's Encode closure via Payload.Encode, and frames that come back
-// from a fetch decode into a container allocated in the *destination*
-// executor's memory manager. The scheduler and the transport never learn
+// sides of the exchange share), the exchange hands the transport only
+// the sink's own encoders via Payload.Encode/Segments, and frames that
+// come back from a fetch decode into a container allocated in the
+// *destination* executor's memory manager. The scheduler and the transport never learn
 // the payload's generic type. Under the stage-commit protocol every
 // fetch — executor-local included — serves an encoded frame so the
 // pinned source stays private to its holder; only payloads without a
 // wire form fall back to the consuming pointer handover.
 
-// wireCodec is one shuffle's codec-registry entry for sink type S.
+// wireCodec is one shuffle's codec-registry entry for sink type S. The
+// encode side needs no entry: every sink carries its own EncodeWire (and
+// Deca sinks their EncodeSegments), which payloadFor attaches when the
+// shuffle is wireable.
 type wireCodec[S any] struct {
-	// encode writes s's self-describing wire frame.
-	encode func(s S, w io.Writer) error
 	// decode rebuilds a container from a frame streaming off r inside
 	// executor ex — page bodies land directly in ex's memory manager, the
-	// frame is never materialized whole.
+	// frame is never materialized whole. Nil when the shuffle's sinks
+	// cannot round-trip a frame.
 	decode func(r shuffle.WireReader, ex *Executor) (S, error)
-	// vectored attaches the sinks' segment encoders to their payloads, so
-	// wire-capable transports serve them with writev/sendfile instead of
-	// staging the frame (off under Config.DisableVectoredServe).
-	vectored bool
 }
 
-// segmentEncoder is the sink-side vectored encode seam: Deca containers
-// implement it, Object containers (whose frames are built record by
-// record) do not and stay on the buffered Encode fallback.
+// wireEncoder is the sink-side encode seam every shuffle container
+// implements.
+type wireEncoder interface {
+	EncodeWire(w io.Writer) error
+}
+
+// segmentEncoder is the vectored encode seam: Deca containers implement
+// it, Object containers (whose frames are built record by record) do not
+// and stay on the buffered Encode path.
 type segmentEncoder interface {
 	EncodeSegments() (*transport.FrameSegments, error)
 }
@@ -82,10 +86,10 @@ func (wc wireCodec[S]) frameOpen(ex *Executor) transport.FrameOpen {
 	}
 }
 
-// payloadFor wraps a sink into a transport payload, attaching the codec's
-// encoder so any wire-capable transport can ship it — and, for Deca
-// containers on a vectored codec, the segment encoder so the serve path
-// can writev pages straight from the pinned group.
+// payloadFor wraps a sink into a transport payload. On a wireable
+// shuffle it attaches the sink's frame encoder so any wire-capable
+// transport can ship it, and for Deca containers the segment encoder so
+// the serve path can writev pages straight from the pinned group.
 func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int64) transport.Payload {
 	pl := transport.Payload{
 		Data:        s,
@@ -93,13 +97,14 @@ func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int
 		Bytes:       sizeBytes + spilledBytes,
 		MemBytes:    sizeBytes,
 	}
-	if wc.encode != nil {
-		pl.Encode = func(w io.Writer) error { return wc.encode(s, w) }
-		if wc.vectored {
-			if se, ok := any(s).(segmentEncoder); ok {
-				pl.Segments = se.EncodeSegments
-			}
-		}
+	if wc.decode == nil {
+		return pl
+	}
+	if we, ok := any(s).(wireEncoder); ok {
+		pl.Encode = we.EncodeWire
+	}
+	if se, ok := any(s).(segmentEncoder); ok {
+		pl.Segments = se.EncodeSegments
 	}
 	return pl
 }
@@ -107,17 +112,18 @@ func (wc wireCodec[S]) payloadFor(s S, ex *Executor, sizeBytes, spilledBytes int
 // wireable reports whether this shuffle's sinks can round-trip a wire
 // frame: a Deca-flavoured sink (decaSink) encodes through its codecs,
 // an object-flavoured one needs the Kryo-style serializers. A
-// non-wireable shuffle gets a nil encoder, so its payloads fall back to
-// the transport's consuming pointer handover (single-process only)
-// instead of failing at serve time.
+// non-wireable shuffle gets a codec without a decoder, so payloadFor
+// attaches no encoder and its payloads fall back to the transport's
+// consuming pointer handover (single-process only) instead of failing
+// at serve time.
 func (o PairOps[K, V]) wireable(decaSink bool) bool {
 	return decaSink || (o.KeySer != nil && o.ValSer != nil)
 }
 
 // aggWireCodec builds the codec-registry entry for ReduceByKey's sinks.
 // The frame is self-describing (a kind byte leads), and both ends derive
-// the container flavour from the same Config and PairOps, so encode
-// dispatches on the concrete sink and decode on the mode.
+// the container flavour from the same Config and PairOps, so the sink
+// encodes itself and decode dispatches on the mode.
 func aggWireCodec[K comparable, V any](
 	ctx *Context, ops PairOps[K, V], combine func(V, V) V,
 ) wireCodec[aggSink[K, V]] {
@@ -125,16 +131,6 @@ func aggWireCodec[K comparable, V any](
 		return wireCodec[aggSink[K, V]]{}
 	}
 	return wireCodec[aggSink[K, V]]{
-		vectored: !ctx.conf.DisableVectoredServe,
-		encode: func(s aggSink[K, V], w io.Writer) error {
-			switch b := s.(type) {
-			case *shuffle.DecaAgg[K, V]:
-				return b.EncodeWire(w)
-			case *shuffle.ObjectAgg[K, V]:
-				return b.EncodeWire(w)
-			}
-			return fmt.Errorf("engine: aggregation buffer %T has no wire form", s)
-		},
 		decode: func(r shuffle.WireReader, ex *Executor) (aggSink[K, V], error) {
 			if ops.decaAble(ctx) {
 				return shuffle.DecodeDecaAgg(r, ex.mem, combine, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
@@ -155,16 +151,6 @@ func groupWireCodec[K comparable, V any](
 		return wireCodec[groupSink[K, V]]{}
 	}
 	return wireCodec[groupSink[K, V]]{
-		vectored: !ctx.conf.DisableVectoredServe,
-		encode: func(s groupSink[K, V], w io.Writer) error {
-			switch b := s.(type) {
-			case *shuffle.DecaGroup[K, V]:
-				return b.EncodeWire(w)
-			case *shuffle.ObjectGroup[K, V]:
-				return b.EncodeWire(w)
-			}
-			return fmt.Errorf("engine: grouping buffer %T has no wire form", s)
-		},
 		decode: func(r shuffle.WireReader, ex *Executor) (groupSink[K, V], error) {
 			if ops.decaGroupAble(ctx) {
 				return shuffle.DecodeDecaGroup(r, ex.mem, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)
@@ -185,16 +171,6 @@ func sortWireCodec[K comparable, V any](
 		return wireCodec[sortSink[K, V]]{}
 	}
 	return wireCodec[sortSink[K, V]]{
-		vectored: !ctx.conf.DisableVectoredServe,
-		encode: func(s sortSink[K, V], w io.Writer) error {
-			switch b := s.(type) {
-			case *shuffle.DecaSort[K, V]:
-				return b.EncodeWire(w)
-			case *shuffle.ObjectSort[K, V]:
-				return b.EncodeWire(w)
-			}
-			return fmt.Errorf("engine: sort buffer %T has no wire form", s)
-		},
 		decode: func(r shuffle.WireReader, ex *Executor) (sortSink[K, V], error) {
 			if ctx.Mode() == ModeDeca && ops.KeyCodec != nil && ops.ValCodec != nil {
 				return shuffle.DecodeDecaSort(r, ex.mem, ops.Key.Less, ops.KeyCodec, ops.ValCodec, ctx.conf.SpillDir)

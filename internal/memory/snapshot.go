@@ -31,42 +31,15 @@ type ByteReader interface {
 	io.ByteReader
 }
 
-// Snapshot writes the group as a framed page sequence and returns the
-// number of bytes written: uvarint page count, then for each page a
-// uvarint length and the page's used bytes, emitted straight from the
-// page — no per-record work, no staging copy. hdr is the caller's
-// scratch for the varint headers (w may retain what it is handed, so a
-// local array would escape on every call).
-func (g *Group) Snapshot(w io.Writer, hdr *[binary.MaxVarintLen64]byte) (int64, error) {
-	g.checkLive()
-	var written int64
-	n, err := w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(g.pages)))])
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("memory: snapshot header: %w", err)
-	}
-	for _, p := range g.pages {
-		n, err = w.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(p)))])
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("memory: snapshot page header: %w", err)
-		}
-		n, err = w.Write(p)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("memory: snapshot page: %w", err)
-		}
-	}
-	return written, nil
-}
-
-// SnapshotSegments emits the exact byte sequence Snapshot writes,
-// decomposed for a vectored sender: stage(n) must return an n-byte
-// scratch region at the stream's current position (varint headers are
-// built in place there), and page(p) receives each page's used prefix to
-// ship by reference — no copy is made, so the caller must keep the group
-// retained until the referenced bytes have been sent. Keeping this
-// callback-shaped leaves the memory layer free of any transport types.
+// SnapshotSegments emits the group's page frame, decomposed for a
+// vectored sender: uvarint page count, then for each page a uvarint
+// length and the page's used bytes — no per-record work. stage(n) must
+// return an n-byte scratch region at the stream's current position
+// (varint headers are built in place there), and page(p) receives each
+// page's used prefix to ship by reference — no copy is made, so the
+// caller must keep the group retained until the referenced bytes have
+// been sent. Keeping this callback-shaped leaves the memory layer free
+// of any transport types.
 func (g *Group) SnapshotSegments(stage func(n int) []byte, page func(p []byte)) {
 	g.checkLive()
 	var hdr [binary.MaxVarintLen64]byte
@@ -77,21 +50,6 @@ func (g *Group) SnapshotSegments(stage func(n int) []byte, page func(p []byte)) 
 		copy(stage(k), hdr[:k])
 		page(p)
 	}
-}
-
-// SnapshotSize returns the exact byte length Snapshot will write.
-func (g *Group) SnapshotSize() int64 {
-	g.checkLive()
-	total := int64(uvarintLen(uint64(len(g.pages))))
-	for _, p := range g.pages {
-		total += int64(uvarintLen(uint64(len(p)))) + int64(len(p))
-	}
-	return total
-}
-
-func uvarintLen(v uint64) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], v)
 }
 
 // RestoreGroup rebuilds a snapshotted page group inside this manager: the

@@ -2,9 +2,24 @@ package memory
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
+
+// snapshotBytes renders the group's SnapshotSegments as one contiguous
+// frame — the byte stream a sender ships — and counts the page segments
+// referenced in place.
+func snapshotBytes(g *Group) (frame []byte, pages int) {
+	var segs [][]byte
+	g.SnapshotSegments(func(n int) []byte {
+		b := make([]byte, n)
+		segs = append(segs, b)
+		return b
+	}, func(p []byte) {
+		segs = append(segs, p)
+		pages++
+	})
+	return bytes.Join(segs, nil), pages
+}
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	src := NewManager(128, 0)
@@ -21,23 +36,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	ptrs = append(ptrs, g.Append(big))
 	want = append(want, big)
 
-	var buf bytes.Buffer
-	n, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("Snapshot reported %d bytes, wrote %d", n, buf.Len())
-	}
-	if sz := g.SnapshotSize(); sz != n {
-		t.Errorf("SnapshotSize = %d, Snapshot wrote %d", sz, n)
+	frame, pages := snapshotBytes(g)
+	if pages != g.NumPages() {
+		t.Errorf("snapshot referenced %d pages in place, group has %d", pages, g.NumPages())
 	}
 
 	// Restore into a different manager with a different page size.
 	dst := NewManager(4096, 0)
-	r, err := dst.RestoreGroup(bytes.NewReader(buf.Bytes()))
+	rd := bytes.NewReader(frame)
+	r, err := dst.RestoreGroup(rd)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rd.Len() != 0 {
+		t.Errorf("restore left %d of %d frame bytes unread", rd.Len(), len(frame))
 	}
 	if r.NumPages() != g.NumPages() || r.Len() != g.Len() {
 		t.Fatalf("restored %d pages / %d bytes, want %d / %d",
@@ -72,11 +84,8 @@ func TestSnapshotEmptyGroup(t *testing.T) {
 	m := NewManager(64, 0)
 	g := m.NewGroup()
 	defer g.Release()
-	var buf bytes.Buffer
-	if _, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()))
+	frame, _ := snapshotBytes(g)
+	r, err := m.RestoreGroup(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +100,9 @@ func TestRestoreGroupTruncatedAndCorrupt(t *testing.T) {
 	g := m.NewGroup()
 	g.Append(bytes.Repeat([]byte{1}, 50))
 	g.Append(bytes.Repeat([]byte{2}, 50))
-	var buf bytes.Buffer
-	if _, err := g.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
-		t.Fatal(err)
-	}
+	full, _ := snapshotBytes(g)
 	g.Release()
 
-	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut += 7 {
 		if _, err := m.RestoreGroup(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes restored without error", cut, len(full))
@@ -126,11 +131,8 @@ func TestSnapshotAfterAdoption(t *testing.T) {
 	base := a.AdoptPages(b)
 	b.Release()
 
-	var buf bytes.Buffer
-	if _, err := a.Snapshot(&buf, new([binary.MaxVarintLen64]byte)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.RestoreGroup(bytes.NewReader(buf.Bytes()))
+	frame, _ := snapshotBytes(a)
+	r, err := m.RestoreGroup(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,20 +3,21 @@ package shuffle
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 
 	"deca/internal/memory"
 	"deca/internal/transport"
 )
 
-// Vectored wire encoders: each EncodeSegments builds the exact byte
-// frame its EncodeWire writes, decomposed into transport.FrameSegments —
-// headers and key/pointer tables staged into the frame's scratch chunks,
-// page snapshots referenced in place from the retained page group, spill
-// runs referenced as opened files. The serve path ships the segments
-// with writev/sendfile instead of staging the frame, and the decode side
-// is unchanged: the concatenated segments are indistinguishable from an
-// EncodeWire frame.
+// Deca frame encoders: each EncodeSegments is the one place its
+// container's byte frame is laid out, decomposed into
+// transport.FrameSegments — headers and key/pointer tables staged into
+// the frame's scratch chunks, page snapshots referenced in place from
+// the retained page group, spill runs referenced as opened files. The
+// serve path ships the segments with writev/sendfile; EncodeWire is the
+// same segments written out to a stream (encodeWire), so the vectored
+// and buffered frames are bit-identical by construction.
 //
 // Ownership: EncodeSegments retains the buffer's page group and opens
 // its spill files; both hand their release to the returned
@@ -25,6 +26,34 @@ import (
 // (unmutated) while any of its frames is in flight — the same contract
 // Encode already imposes.
 
+// segmentEncoder is a container whose wire frame is built as segments.
+type segmentEncoder interface {
+	EncodeSegments() (*transport.FrameSegments, error)
+}
+
+// encodeWire writes b's segment frame to w and releases it.
+func encodeWire(b segmentEncoder, w io.Writer) error {
+	fs, err := b.EncodeSegments()
+	if err != nil {
+		return err
+	}
+	defer fs.Release()
+	_, err = fs.WriteTo(w)
+	return err
+}
+
+// EncodeWire writes the frame EncodeSegments lays out: kind, key table
+// (key bytes + value pointer per key), page snapshot, spill runs.
+func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error { return encodeWire(b, w) }
+
+// EncodeWire writes the frame EncodeSegments lays out: kind, per-key
+// pointer arrays, page snapshot, spill runs.
+func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error { return encodeWire(b, w) }
+
+// EncodeWire writes the frame EncodeSegments lays out: kind, the pointer
+// array in insertion order, page snapshot, spill runs.
+func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error { return encodeWire(b, w) }
+
 // stageUvarint stages v at the frame's current position.
 func stageUvarint(fs *transport.FrameSegments, v uint64) {
 	var hdr [binary.MaxVarintLen64]byte
@@ -32,17 +61,18 @@ func stageUvarint(fs *transport.FrameSegments, v uint64) {
 	copy(fs.Stage(k), hdr[:k])
 }
 
-// appendGroupSegments appends the group's Snapshot byte-for-byte: staged
-// varint headers interleaved with in-place page references.
+// appendGroupSegments appends the group's page snapshot: staged varint
+// headers interleaved with in-place page references.
 func appendGroupSegments(fs *transport.FrameSegments, g *memory.Group) {
 	g.SnapshotSegments(fs.Stage, fs.AppendPage)
 }
 
-// appendSpillSegments appends the encodeSpills section: run count, then
-// per run a staged uvarint size and the run's file contents served from
-// an opened descriptor (the sendfile path). On error the frame is NOT
-// released — the caller's cleanup handles it — but no file stays open
-// beyond the ones already appended (owned by fs).
+// appendSpillSegments appends the spill section (the layout encodeSpills
+// writes for Object frames): run count, then per run a staged uvarint
+// size and the run's file contents served from an opened descriptor (the
+// sendfile path). On error the frame is NOT released — the caller's
+// cleanup handles it — but no file stays open beyond the ones already
+// appended (owned by fs).
 func appendSpillSegments(fs *transport.FrameSegments, spills []spillFile) error {
 	stageUvarint(fs, uint64(len(spills)))
 	for _, run := range spills {
@@ -56,7 +86,9 @@ func appendSpillSegments(fs *transport.FrameSegments, spills []spillFile) error 
 	return nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments lays out the DecaAgg frame: kind, key count, per key
+// the length-prefixed key bytes and the value pointer, page snapshot,
+// spill runs. Value bytes never leave their pages.
 func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	if b.keyCodec == nil {
 		return nil, fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
@@ -87,7 +119,9 @@ func (b *DecaAgg[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	return fs, nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments lays out the DecaGroup frame: kind, key count, per key
+// the length-prefixed key bytes and its pointer array (within-key value
+// order preserved), page snapshot, spill runs.
 func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	if b.keyCodec == nil {
 		return nil, fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
@@ -118,7 +152,9 @@ func (b *DecaGroup[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	return fs, nil
 }
 
-// EncodeSegments is EncodeWire decomposed for the vectored serve path.
+// EncodeSegments lays out the DecaSort frame, the leanest Deca frame:
+// kind, the pointer array in insertion order, page snapshot, spill runs
+// — no key table at all.
 func (b *DecaSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	fs := transport.NewFrameSegments()
 	fs.Owner(b.group.Retain().Release)
@@ -139,9 +175,9 @@ func (b *DecaSort[K, V]) EncodeSegments() (*transport.FrameSegments, error) {
 	return fs, nil
 }
 
-// stagePtrs stages a pointer array in the ptrs wire layout (fixed 8-byte
-// little-endian pairs), chunked so one huge array does not demand one
-// contiguous scratch region.
+// stagePtrs stages a pointer array in its wire layout (fixed 8-byte
+// little-endian pairs, the layout appendPtrs reads), chunked so one huge
+// array does not demand one contiguous scratch region.
 func stagePtrs(fs *transport.FrameSegments, ps []memory.Ptr) {
 	for len(ps) > 0 {
 		n := min(len(ps), ptrChunk)

@@ -16,11 +16,13 @@ import (
 // the paper measures in §6.5 is built in:
 //
 //   - Deca containers encode as header + key/pointer table + a page
-//     snapshot (memory.Group.Snapshot): the record bytes are already in
-//     wire format, so encoding is a handful of bulk copies and decoding
-//     restores pages into the destination executor's manager with the
-//     pointers valid as-is (page boundaries survive the frame, so the
-//     rebase is the identity).
+//     snapshot (memory.Group.SnapshotSegments): the record bytes are
+//     already in wire format, so encoding is a handful of bulk copies and
+//     decoding restores pages into the destination executor's manager
+//     with the pointers valid as-is (page boundaries survive the frame,
+//     so the rebase is the identity). Their frames are laid out in one
+//     place, EncodeSegments (segments.go); EncodeWire writes those
+//     segments out.
 //   - Object containers round-trip through internal/serial, record by
 //     record: decode materializes fresh objects, re-creating the
 //     allocation and GC cost Kryo/SparkSer pays on every remote fetch.
@@ -107,28 +109,9 @@ func (e *wireEncoder) lenBytes(b []byte) error {
 	return e.raw(b)
 }
 
-// ptrChunk is how many pointers ptrs/appendPtrs stage per bulk
+// ptrChunk is how many pointers stagePtrs/appendPtrs stage per bulk
 // write/read.
 const ptrChunk = 1024
-
-// ptrs writes a pointer array in chunked bulk writes, each pointer as two
-// fixed little-endian uint32s: bulk-copyable on both ends, which keeps
-// the Deca frames' per-record cost at a memcpy.
-func (e *wireEncoder) ptrs(ps []memory.Ptr) error {
-	buf := e.stage(8 * min(len(ps), ptrChunk))
-	for len(ps) > 0 {
-		n := min(len(ps), ptrChunk)
-		for i, p := range ps[:n] {
-			binary.LittleEndian.PutUint32(buf[8*i:], uint32(p.Page))
-			binary.LittleEndian.PutUint32(buf[8*i+4:], uint32(p.Off))
-		}
-		if err := e.raw(buf[:8*n]); err != nil {
-			return err
-		}
-		ps = ps[n:]
-	}
-	return nil
-}
 
 func readKind(r WireReader, want byte, name string) error {
 	got, err := r.ReadByte()
@@ -299,57 +282,6 @@ func decodeSpills(r WireReader, dir string) ([]spillFile, int64, error) {
 // DecaAgg.
 //
 
-// EncodeWire writes the buffer's wire frame: kind, key table (key bytes +
-// value pointer per key), page snapshot, spill runs. Value bytes never
-// leave their pages until the snapshot's bulk copy.
-func (b *DecaAgg[K, V]) EncodeWire(w io.Writer) error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaAgg has no key codec; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireDecaAgg); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.slots))); err != nil {
-		return err
-	}
-	// The key table is the only per-record section of the frame; entries
-	// (len-prefixed key bytes + fixed 8-byte pointer) accumulate in a
-	// chunk and flush in ~8 KiB writes, so the per-key cost stays at a
-	// few appends rather than several writer calls. This deliberately
-	// bypasses the lenBytes/ptrs helpers DecaGroup's (much shorter) key
-	// section uses: the wire experiment measures the helper form at
-	// roughly half this encode throughput, and the agg key table is the
-	// container's entire per-record cost.
-	chunk := e.stage(0)
-	for k, ptr := range b.slots {
-		n := b.keyCodec.Size(k)
-		chunk = binary.AppendUvarint(chunk, uint64(n))
-		chunk = slices.Grow(chunk, n+8)
-		b.keyCodec.Encode(chunk[len(chunk):len(chunk)+n], k)
-		chunk = chunk[:len(chunk)+n]
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(ptr.Page))
-		chunk = binary.LittleEndian.AppendUint32(chunk, uint32(ptr.Off))
-		if len(chunk) >= 8<<10 {
-			if err := e.raw(chunk); err != nil {
-				return err
-			}
-			chunk = chunk[:0]
-		}
-	}
-	if err := e.raw(chunk); err != nil {
-		return err
-	}
-	e.scratch = chunk[:0]
-	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
-
 // DecodeDecaAgg rebuilds an aggregation buffer from its wire frame inside
 // the destination executor: pages restore into mem, spill runs land in
 // spillDir, and the rebuilt slots point at the restored pages directly.
@@ -502,42 +434,6 @@ func DecodeObjectAgg[K comparable, V any](
 //
 // DecaGroup.
 //
-
-// EncodeWire writes kind, per-key pointer arrays, page snapshot, spills.
-// Value bytes move only in the snapshot's bulk copy; within-key value
-// order is preserved by the pointer arrays.
-func (b *DecaGroup[K, V]) EncodeWire(w io.Writer) error {
-	if b.keyCodec == nil {
-		return fmt.Errorf("shuffle: DecaGroup has no key codec; cannot encode")
-	}
-	e := newWireEncoder(w)
-	if err := e.byte(wireDecaGroup); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.slots))); err != nil {
-		return err
-	}
-	for k, ptrs := range b.slots {
-		key := e.stage(b.keyCodec.Size(k))
-		b.keyCodec.Encode(key, k)
-		if err := e.lenBytes(key); err != nil {
-			return err
-		}
-		if err := e.uvarint(uint64(len(ptrs))); err != nil {
-			return err
-		}
-		if err := e.ptrs(ptrs); err != nil {
-			return err
-		}
-	}
-	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
 
 // DecodeDecaGroup rebuilds a grouping buffer from its wire frame inside
 // the destination executor.
@@ -697,29 +593,6 @@ func DecodeObjectGroup[K comparable, V any](
 //
 // DecaSort.
 //
-
-// EncodeWire writes kind, the pointer array in insertion order, page
-// snapshot, spills: the leanest Deca frame — no key table at all, the
-// records ship as pages and the ordering state as pointers.
-func (b *DecaSort[K, V]) EncodeWire(w io.Writer) error {
-	e := newWireEncoder(w)
-	if err := e.byte(wireDecaSort); err != nil {
-		return err
-	}
-	if err := e.uvarint(uint64(len(b.ptrs))); err != nil {
-		return err
-	}
-	if err := e.ptrs(b.ptrs); err != nil {
-		return err
-	}
-	if _, err := b.group.Snapshot(e.w, &e.hdr); err != nil {
-		return err
-	}
-	if err := encodeSpills(e, b.spills); err != nil {
-		return err
-	}
-	return e.flush()
-}
 
 // DecodeDecaSort rebuilds a sort buffer from its wire frame inside the
 // destination executor. Spill runs arrive already sorted and join the

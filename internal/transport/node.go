@@ -247,37 +247,15 @@ func (s *DataServer) serveOne(conn net.Conn, bw *bufio.Writer, id MapOutputID) b
 
 // writeSegments ships one segment frame: status + length header through
 // the buffered writer, then — after a flush, so ordering holds on the
-// raw socket — consecutive in-memory segments batched into single
-// net.Buffers writes (writev) and file segments via io.Copy from an
-// *os.File-backed LimitedReader, which *net.TCPConn turns into sendfile.
+// raw socket — the segments straight onto the connection
+// (FrameSegments.WriteTo: writev for in-memory runs, sendfile for spill
+// files).
 func (s *DataServer) writeSegments(conn net.Conn, bw *bufio.Writer, fs *FrameSegments) bool {
 	if !writeFrameHeader(bw, fs.Len()) || bw.Flush() != nil {
 		return false
 	}
-	var batch net.Buffers
-	flushBatch := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		_, err := batch.WriteTo(conn)
-		batch = batch[:0]
-		return err == nil
-	}
-	for _, seg := range fs.Segs() {
-		if seg.File == nil {
-			batch = append(batch, seg.Buf)
-			continue
-		}
-		if !flushBatch() {
-			return false
-		}
-		lr := &io.LimitedReader{R: seg.File, N: seg.Size}
-		n, err := io.Copy(conn, lr)
-		if err != nil || n != seg.Size {
-			return false
-		}
-	}
-	return flushBatch()
+	_, err := fs.WriteTo(conn)
+	return err == nil
 }
 
 // writeServeEnd sends the trailer that follows every frame once the

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"io"
+	"net"
 	"os"
 	"sync"
 )
@@ -172,6 +173,41 @@ func (fs *FrameSegments) Release() {
 		stageChunks.Put(c)
 	}
 	fs.segs, fs.owners, fs.chunk, fs.pooled = nil, nil, nil, nil
+}
+
+// WriteTo writes the frame to w in wire order and returns the bytes
+// written: consecutive byte segments go out as one net.Buffers batch (a
+// single writev on a *net.TCPConn, one Write per segment elsewhere) and
+// file segments through io.Copy over an io.LimitedReader (sendfile on a
+// *net.TCPConn). A file shorter than its segment's Size fails with
+// io.ErrUnexpectedEOF. WriteTo does not release the frame.
+func (fs *FrameSegments) WriteTo(w io.Writer) (int64, error) {
+	var written int64
+	var batch net.Buffers
+	flush := func() error {
+		n, err := batch.WriteTo(w)
+		written += n
+		batch = batch[:0]
+		return err
+	}
+	for _, seg := range fs.segs {
+		if seg.File == nil {
+			batch = append(batch, seg.Buf)
+			continue
+		}
+		if err := flush(); err != nil {
+			return written, err
+		}
+		n, err := io.Copy(w, &io.LimitedReader{R: seg.File, N: seg.Size})
+		written += n
+		if err != nil {
+			return written, err
+		}
+		if n != seg.Size {
+			return written, io.ErrUnexpectedEOF
+		}
+	}
+	return written, flush()
 }
 
 // segmentsReader streams a frame's segments as one io.Reader — the

@@ -165,6 +165,73 @@ func TestFrameSegmentsShortFile(t *testing.T) {
 	}
 }
 
+// WriteTo is the buffered encoder: across staged, page and file segments
+// it writes exactly the flattened frame, a truncated file segment fails
+// with ErrUnexpectedEOF, and Release after WriteTo still closes every
+// file and runs the owners once.
+func TestFrameSegmentsWriteTo(t *testing.T) {
+	pages := makePages(3, 257)
+	spill := []byte("spilled run bytes, served via sendfile")
+	var releases atomic.Int32
+	fs := buildSegments(t, pages, spill, &releases)
+	// A second file segment behind the spill run and a staged trailer:
+	// byte runs on both sides of every file segment.
+	path := filepath.Join(t.TempDir(), "run2")
+	if err := os.WriteFile(path, []byte("second run"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f2, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.AppendFile(f2, 10)
+	copy(fs.Stage(3), "end")
+	want := append(flatten(pages, spill), "second runend"...)
+
+	var got bytes.Buffer
+	n, err := fs.WriteTo(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != fs.Len() || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteTo wrote %d bytes (reported %d), want the %d-byte flattened frame", got.Len(), n, len(want))
+	}
+	var files []*os.File
+	for _, seg := range fs.Segs() {
+		if seg.File != nil {
+			files = append(files, seg.File)
+		}
+	}
+	fs.Release()
+	if releases.Load() != 1 {
+		t.Fatalf("owner released %d times, want 1", releases.Load())
+	}
+	for _, f := range files {
+		if err := f.Close(); err == nil {
+			t.Errorf("Release after WriteTo left %s open", f.Name())
+		}
+	}
+
+	short := filepath.Join(t.TempDir(), "short")
+	if err := os.WriteFile(short, []byte("short"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs = NewFrameSegments()
+	copy(fs.Stage(4), "head")
+	fs.AppendFile(f, 64) // claims more than the file holds
+	if _, err := fs.WriteTo(io.Discard); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated file segment: err = %v, want ErrUnexpectedEOF", err)
+	}
+	fs.Release()
+	if err := f.Close(); err == nil {
+		t.Error("Release after a failed WriteTo left the file open")
+	}
+}
+
 // segPayload registers a vectored payload over raw pages for data-plane
 // tests; every serve builds a fresh FrameSegments and counts its release.
 type segPayload struct {

@@ -269,7 +269,7 @@ func encodeFallback(p Payload, buf *bytes.Buffer) error {
 	if err != nil {
 		return err
 	}
-	_, err = buf.ReadFrom(newSegmentsReader(fs))
+	_, err = fs.WriteTo(buf)
 	fs.Release()
 	return err
 }

@@ -236,8 +236,7 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	cfg := multiprocCfg(t, 2).withDefaults()
 	ctx := cfg.newEngine()
 	defer ctx.Close()
-	spec := PlanSpec{Workload: "wc", WC: params}
-	spec.fill(cfg)
+	spec := PlanSpec{Workload: "wc", Config: cfg, WC: params}
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)

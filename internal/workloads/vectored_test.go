@@ -6,12 +6,12 @@ import (
 	"deca/internal/engine"
 )
 
-// The acceptance bar of the vectored data plane: serving shuffle frames
-// as page segments (writev straight from the pinned group, sendfile for
-// spill runs) must be invisible to results. WC and PR run byte-identical
-// against the buffered Encode baseline on both the in-process and TCP
-// transports, and the vectored runs must actually exercise the zero-copy
-// path.
+// The acceptance bar of the vectored data plane: serving Deca shuffle
+// frames as page segments (writev straight from the pinned group,
+// sendfile for spill runs) must be invisible to results. WC and PR in
+// Deca mode match the Spark (object) reference on the same config, on
+// both the in-process and TCP transports, and the Deca runs must actually
+// exercise the zero-copy path.
 func TestVectoredServeEquivalence(t *testing.T) {
 	type job struct {
 		name string
@@ -33,72 +33,65 @@ func TestVectoredServeEquivalence(t *testing.T) {
 		for _, j := range jobs {
 			t.Run(j.name+"/"+kind.String(), func(t *testing.T) {
 				cfg := Config{
-					Mode: engine.ModeDeca, NumExecutors: 4, Parallelism: 2, Partitions: 8,
+					Mode: engine.ModeSpark, NumExecutors: 4, Parallelism: 2, Partitions: 8,
 					TransportKind: kind, SpillDir: t.TempDir(), Seed: 1,
 				}
-				cfg.DisableVectoredServe = true
-				buffered, err := j.run(cfg)
+				spark, err := j.run(cfg)
 				if err != nil {
-					t.Fatalf("buffered: %v", err)
+					t.Fatalf("spark: %v", err)
 				}
-				cfg.DisableVectoredServe = false
-				vectored, err := j.run(cfg)
+				cfg.Mode = engine.ModeDeca
+				deca, err := j.run(cfg)
 				if err != nil {
-					t.Fatalf("vectored: %v", err)
+					t.Fatalf("deca: %v", err)
 				}
-				if j.exact && vectored.Checksum != buffered.Checksum {
-					t.Errorf("checksum: vectored %v != buffered %v", vectored.Checksum, buffered.Checksum)
-				} else if !approxEqual(vectored.Checksum, buffered.Checksum) {
-					t.Errorf("checksum: vectored %v !~ buffered %v", vectored.Checksum, buffered.Checksum)
+				if j.exact {
+					if deca.Checksum != spark.Checksum {
+						t.Errorf("checksum: deca %v != spark %v", deca.Checksum, spark.Checksum)
+					}
+				} else if !approxEqual(deca.Checksum, spark.Checksum) {
+					t.Errorf("checksum: deca %v !~ spark %v", deca.Checksum, spark.Checksum)
 				}
-				if buffered.PagesServedZeroCopy != 0 {
-					t.Errorf("buffered run served %d pages zero-copy", buffered.PagesServedZeroCopy)
-				}
-				if vectored.PagesServedZeroCopy == 0 {
-					t.Error("vectored run served no pages zero-copy")
-				}
-				if vectored.ServeUserspaceCopyBytes >= buffered.ServeUserspaceCopyBytes {
-					t.Errorf("vectored run staged %d bytes in userspace, buffered %d — expected fewer",
-						vectored.ServeUserspaceCopyBytes, buffered.ServeUserspaceCopyBytes)
+				if deca.PagesServedZeroCopy == 0 {
+					t.Error("deca run served no pages zero-copy")
 				}
 			})
 		}
 	}
 }
 
-// Spill-backed outputs must serve identically through the sendfile path:
-// WC under a forced shuffle-spill threshold, vectored against buffered,
+// Spill-backed outputs must serve correctly through the sendfile path:
+// WC under a forced shuffle-spill threshold matches the Spark reference,
 // with spill bytes actually crossing the TCP transport via sendfile.
 func TestVectoredServeSpillEquivalence(t *testing.T) {
 	params := WCParams{DistinctKeys: 4000, WordsPerLine: 8, Lines: 6000}
 	cfg := Config{
-		Mode: engine.ModeDeca, NumExecutors: 2, Parallelism: 2, Partitions: 4,
+		Mode: engine.ModeSpark, NumExecutors: 2, Parallelism: 2, Partitions: 4,
 		TransportKind: engine.TransportTCP, SpillDir: t.TempDir(), Seed: 1,
 		ShuffleSpillThreshold: 16 << 10,
 	}
-	cfg.DisableVectoredServe = true
-	buffered, err := WordCount(cfg, params)
+	spark, err := WordCount(cfg, params)
 	if err != nil {
-		t.Fatalf("buffered: %v", err)
+		t.Fatalf("spark: %v", err)
 	}
-	cfg.DisableVectoredServe = false
-	vectored, err := WordCount(cfg, params)
+	cfg.Mode = engine.ModeDeca
+	deca, err := WordCount(cfg, params)
 	if err != nil {
-		t.Fatalf("vectored: %v", err)
+		t.Fatalf("deca: %v", err)
 	}
-	if vectored.Checksum != buffered.Checksum {
-		t.Errorf("checksum: vectored %v != buffered %v", vectored.Checksum, buffered.Checksum)
+	if deca.Checksum != spark.Checksum {
+		t.Errorf("checksum: deca %v != spark %v", deca.Checksum, spark.Checksum)
 	}
-	if vectored.ShuffleSpillBytes == 0 {
+	if deca.ShuffleSpillBytes == 0 {
 		t.Fatal("threshold did not force shuffle spills; the sendfile path was not exercised")
 	}
-	if vectored.BytesSendfile == 0 {
-		t.Error("vectored run shipped no spill bytes via sendfile")
+	if deca.BytesSendfile == 0 {
+		t.Error("deca run shipped no spill bytes via sendfile")
 	}
 }
 
 // TestMultiprocVectoredServe: the vectored data plane across two real
-// deca-executor processes produces the buffered baseline's exact WC
+// deca-executor processes produces the Spark reference's exact WC
 // answer, with the executors' serve counters synced back to the driver.
 func TestMultiprocVectoredServe(t *testing.T) {
 	if testing.Short() {
@@ -106,21 +99,21 @@ func TestMultiprocVectoredServe(t *testing.T) {
 	}
 	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
 	cfg := multiprocCfg(t, 2)
-	cfg.DisableVectoredServe = true
-	buffered, err := WordCount(cfg, params)
+	cfg.Mode = engine.ModeSpark
+	spark, err := WordCount(cfg, params)
 	if err != nil {
-		t.Fatalf("buffered: %v", err)
+		t.Fatalf("spark: %v", err)
 	}
 	cfg = multiprocCfg(t, 2)
-	cfg.DisableVectoredServe = false
-	vectored, err := WordCount(cfg, params)
+	cfg.Mode = engine.ModeDeca
+	deca, err := WordCount(cfg, params)
 	if err != nil {
-		t.Fatalf("vectored: %v", err)
+		t.Fatalf("deca: %v", err)
 	}
-	if vectored.Checksum != buffered.Checksum {
-		t.Errorf("checksum: vectored %v != buffered %v", vectored.Checksum, buffered.Checksum)
+	if deca.Checksum != spark.Checksum {
+		t.Errorf("checksum: deca %v != spark %v", deca.Checksum, spark.Checksum)
 	}
-	if vectored.PagesServedZeroCopy == 0 {
-		t.Error("vectored multiproc run synced no zero-copy serve pages to the driver")
+	if deca.PagesServedZeroCopy == 0 {
+		t.Error("deca multiproc run synced no zero-copy serve pages to the driver")
 	}
 }
