@@ -2,7 +2,9 @@ package cache
 
 import (
 	"fmt"
+	"iter"
 	"os"
+	"slices"
 
 	"deca/internal/decompose"
 	"deca/internal/memory"
@@ -28,6 +30,9 @@ type ObjectBlock[T any] struct {
 func NewObjectBlock[T any](values []T, estimate func(T) int, ser serial.Serializer[T]) *ObjectBlock[T] {
 	if estimate == nil {
 		estimate = func(T) int { return 48 }
+	}
+	if values == nil {
+		values = []T{} // nil means swapped out: an empty block is resident
 	}
 	var total int64
 	for _, v := range values {
@@ -130,13 +135,16 @@ type SerializedBlock[T any] struct {
 	file  string
 }
 
-// NewSerializedBlock encodes values eagerly.
-func NewSerializedBlock[T any](values []T, ser serial.Serializer[T]) *SerializedBlock[T] {
-	var buf []byte
-	for _, v := range values {
+// BuildSerializedBlock marshals each record as records yields it, so a
+// partition is serialized while it computes, with no staging slice.
+func BuildSerializedBlock[T any](records iter.Seq[T], ser serial.Serializer[T]) *SerializedBlock[T] {
+	buf := []byte{} // nil means swapped out: an empty block is resident
+	n := 0
+	for v := range records {
 		buf = ser.Marshal(buf, v)
+		n++
 	}
-	return &SerializedBlock[T]{data: buf, count: len(values), ser: ser}
+	return &SerializedBlock[T]{data: buf, count: n, ser: ser}
 }
 
 // Decode materializes all records — the per-access deserialization cost.
@@ -240,11 +248,30 @@ type DecaBlock[T any] struct {
 
 // NewDecaBlock decomposes values into a fresh page group.
 func NewDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], values []T) *DecaBlock[T] {
+	return BuildDecaBlock(mem, codec, slices.Values(values))
+}
+
+// BuildDecaBlock decomposes each record into a fresh page group as
+// records yields it: a partition goes from its compute loop straight
+// into pages, with no staging slice, so the block's only heap objects
+// are its pages. If records panics (the engine's lazy iterators carry
+// task errors that way), the group is released before the panic
+// continues.
+func BuildDecaBlock[T any](mem *memory.Manager, codec decompose.Codec[T], records iter.Seq[T]) *DecaBlock[T] {
 	g := mem.NewGroup()
-	for _, v := range values {
+	built := false
+	defer func() {
+		if !built {
+			g.Release()
+		}
+	}()
+	n := 0
+	for v := range records {
 		decompose.Write(g, codec, v)
+		n++
 	}
-	return &DecaBlock[T]{mem: mem, group: g, codec: codec, count: len(values)}
+	built = true
+	return NewDecaBlockFromGroup(mem, codec, g, n)
 }
 
 // NewDecaBlockFromGroup adopts an already-filled page group (used when a

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"deca/internal/decompose"
@@ -114,7 +115,7 @@ func TestPinnedBlocksNotEvicted(t *testing.T) {
 
 func TestSerializedBlockRoundTrip(t *testing.T) {
 	vals := []int64{5, -6, 7}
-	b := NewSerializedBlock(vals, serial.Int64{})
+	b := BuildSerializedBlock(slices.Values(vals), serial.Int64{})
 	if b.Count() != 3 {
 		t.Errorf("Count = %d", b.Count())
 	}
@@ -250,4 +251,48 @@ func TestPutReplacesExisting(t *testing.T) {
 		t.Errorf("values = %v", got)
 	}
 	m.Unpin(id)
+}
+
+func TestEmptyBlocksStayResident(t *testing.T) {
+	dir := t.TempDir()
+	blocks := map[string]Block{
+		"objects":    NewObjectBlock[int64](nil, nil, serial.Int64{}),
+		"serialized": BuildSerializedBlock(slices.Values([]int64(nil)), serial.Int64{}),
+		"deca":       NewDecaBlock[int64](memory.NewManager(64, 0), decompose.Int64Codec{}, nil),
+	}
+	for name, b := range blocks {
+		if !b.InMemory() {
+			t.Errorf("%s: empty block reports swapped out", name)
+		}
+		if err := b.SwapOut(dir); err != nil {
+			t.Fatalf("%s: SwapOut: %v", name, err)
+		}
+		if err := b.SwapIn(); err != nil {
+			t.Fatalf("%s: SwapIn: %v", name, err)
+		}
+		if !b.InMemory() {
+			t.Errorf("%s: empty block not resident after a swap round trip", name)
+		}
+		b.Drop()
+	}
+}
+
+func TestBuildDecaBlockReleasesOnPanic(t *testing.T) {
+	mem := memory.NewManager(64, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the records' panic did not propagate")
+			}
+		}()
+		BuildDecaBlock(mem, decompose.Int64Codec{}, func(yield func(int64) bool) {
+			for i := int64(0); i < 20; i++ {
+				yield(i)
+			}
+			panic("task failed mid-partition")
+		})
+	}()
+	if st := mem.Stats(); st.LiveGroups != 0 || mem.InUse() != 0 {
+		t.Errorf("failed build leaked %d groups, %d bytes", st.LiveGroups, mem.InUse())
+	}
 }

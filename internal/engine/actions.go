@@ -70,7 +70,11 @@ func CollectMap[K comparable, V any](d *Dataset[decompose.Pair[K, V]]) (map[K]V,
 			return local, nil
 		},
 		func(ps []map[K]V) map[K]V {
-			out := make(map[K]V)
+			n := 0
+			for _, local := range ps {
+				n += len(local)
+			}
+			out := make(map[K]V, n)
 			for _, local := range ps {
 				for k, v := range local {
 					out[k] = v
@@ -80,10 +84,15 @@ func CollectMap[K comparable, V any](d *Dataset[decompose.Pair[K, V]]) (map[K]V,
 		})
 }
 
-// Count returns the number of records.
+// Count returns the number of records. A persisted dataset's partitions
+// are counted from their cache blocks' stored record counts, so counting
+// (and Materialize) decodes no record.
 func Count[T any](d *Dataset[T]) (int64, error) {
 	return runAction(d.ctx, d.parts,
 		func(p int, _ *Executor) (int64, error) {
+			if d.persisted {
+				return d.cachedCount(p)
+			}
 			var n int64
 			if err := d.Iterate(p, func(T) bool {
 				n++

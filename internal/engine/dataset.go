@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"deca/internal/cache"
@@ -219,21 +221,41 @@ func (d *Dataset[T]) pinBlock(p int) (cache.Block, func(), error) {
 	return blk, unpin, nil
 }
 
+// buildBlock computes partition p straight into its cache block: Deca
+// records decompose into ex's pages and serialized records marshal as
+// the compute loop yields them. Only the object level collects the
+// values, because the object block is those values.
 func (d *Dataset[T]) buildBlock(p int, ex *Executor) (cache.Block, error) {
-	var values []T
-	d.compute(p)(func(v T) bool {
-		values = append(values, v)
-		return true
-	})
+	records := iter.Seq[T](d.compute(p))
 	switch d.level {
 	case StorageObjects:
-		return cache.NewObjectBlock(values, d.storage.Estimate, d.storage.Ser), nil
+		return cache.NewObjectBlock(slices.Collect(records), d.storage.Estimate, d.storage.Ser), nil
 	case StorageSerialized:
-		return cache.NewSerializedBlock(values, d.storage.Ser), nil
+		return cache.BuildSerializedBlock(records, d.storage.Ser), nil
 	case StorageDeca:
-		return cache.NewDecaBlock(ex.mem, d.storage.Codec, values), nil
+		return cache.BuildDecaBlock(ex.mem, d.storage.Codec, records), nil
 	default:
 		return nil, fmt.Errorf("engine: dataset %d has unsupported storage level %v", d.id, d.level)
+	}
+}
+
+// cachedCount pins partition p's block, building it on a miss, and
+// returns the record count the block stores, decoding nothing.
+func (d *Dataset[T]) cachedCount(p int) (int64, error) {
+	blk, unpin, err := d.pinBlock(p)
+	if err != nil {
+		return 0, err
+	}
+	defer unpin()
+	switch b := blk.(type) {
+	case *cache.ObjectBlock[T]:
+		return int64(len(b.Values())), nil
+	case *cache.SerializedBlock[T]:
+		return int64(b.Count()), nil
+	case *cache.DecaBlock[T]:
+		return int64(b.Count()), nil
+	default:
+		panic(fmt.Sprintf("engine: unknown block type %T", blk))
 	}
 }
 

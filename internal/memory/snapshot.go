@@ -77,32 +77,39 @@ func (m *Manager) RestoreGroup(r ByteReader) (*Group, error) {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d: implausible length %d", i, plen)
 		}
-		// An oversized page's body is read before its page is taken, so
-		// a corrupt length fails on the short read instead of after a
-		// length-sized allocation; regular pages stream straight in.
-		var body []byte
-		if int(plen) > m.pageSize {
-			if body, err = readGrowing(r, int(plen)); err != nil {
-				g.Release()
-				return nil, fmt.Errorf("memory: restore page %d body: %w", i, err)
-			}
-		}
-		page := m.getPage(int(plen))[:plen]
-		// Append the page directly — Alloc would pack small source pages
-		// together and break the Ptr address space.
-		g.pages = append(g.pages, page)
-		if g.adopted != nil {
-			g.adopted = append(g.adopted, false)
-		}
-		g.bytes += int64(plen)
-		if body != nil {
-			copy(page, body)
-		} else if _, err := io.ReadFull(r, page); err != nil {
+		if err := g.readPage(r, int(plen)); err != nil {
 			g.Release()
 			return nil, fmt.Errorf("memory: restore page %d body: %w", i, err)
 		}
 	}
 	return g, nil
+}
+
+// readPage appends one n-byte page read from r to g. The page is
+// appended directly — Alloc would pack small source pages together and
+// break the Ptr address space. An oversized page's body is read before
+// its page is taken, so a corrupt length fails on the short read instead
+// of after a length-sized allocation; regular pages stream straight in.
+func (g *Group) readPage(r io.Reader, n int) error {
+	var body []byte
+	if n > g.m.pageSize {
+		var err error
+		if body, err = readGrowing(r, n); err != nil {
+			return err
+		}
+	}
+	page := g.m.getPage(n)[:n]
+	g.pages = append(g.pages, page)
+	if g.adopted != nil {
+		g.adopted = append(g.adopted, false)
+	}
+	g.bytes += int64(n)
+	if body != nil {
+		copy(page, body)
+		return nil
+	}
+	_, err := io.ReadFull(r, page)
+	return err
 }
 
 // readGrowing reads exactly n bytes into a buffer that doubles as the

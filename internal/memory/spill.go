@@ -46,7 +46,10 @@ func (g *Group) WriteTo(w io.Writer) (int64, error) {
 
 // ReadGroupFrom reads a group in the spill format from r, allocating its
 // pages from m. Pointers recorded before the spill remain valid against
-// the restored group.
+// the restored group. The header's lengths are not trusted for sizing:
+// the length table grows as its bytes arrive and an oversized page is
+// read before its page is taken, so a corrupt header fails on a short
+// read instead of after a header-sized allocation.
 func ReadGroupFrom(m *Manager, r io.Reader) (*Group, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -55,26 +58,26 @@ func ReadGroupFrom(m *Manager, r io.Reader) (*Group, error) {
 	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != spillMagic {
 		return nil, fmt.Errorf("memory: bad spill magic %#x", got)
 	}
+	// The length table, like a page, must stay below maxSnapshotPage bytes.
 	numPages := binary.LittleEndian.Uint32(hdr[4:8])
-	if numPages > maxSnapshotPage {
+	if 4*uint64(numPages) >= maxSnapshotPage {
 		return nil, fmt.Errorf("memory: implausible spill page count %d", numPages)
 	}
-	lens := make([]byte, 4*numPages)
-	if _, err := io.ReadFull(r, lens); err != nil {
+	lens, err := readGrowing(r, 4*int(numPages))
+	if err != nil {
 		return nil, fmt.Errorf("memory: reading spill page lengths: %w", err)
 	}
 	g := m.NewGroup()
-	for i := uint32(0); i < numPages; i++ {
-		pageLen := int(binary.LittleEndian.Uint32(lens[4*i:]))
-		page := m.getPage(pageLen)
-		page = page[:pageLen]
-		if _, err := io.ReadFull(r, page); err != nil {
-			m.putPages([][]byte{page})
+	for i := range int(numPages) {
+		pageLen := binary.LittleEndian.Uint32(lens[4*i:])
+		if pageLen > maxSnapshotPage {
+			g.Release()
+			return nil, fmt.Errorf("memory: spill page %d: implausible length %d", i, pageLen)
+		}
+		if err := g.readPage(r, int(pageLen)); err != nil {
 			g.Release()
 			return nil, fmt.Errorf("memory: reading spill page %d: %w", i, err)
 		}
-		g.pages = append(g.pages, page)
-		g.bytes += int64(pageLen)
 	}
 	return g, nil
 }
