@@ -47,13 +47,24 @@ type Block interface {
 
 // Stats counts cache manager activity.
 type Stats struct {
-	Hits         uint64
-	Misses       uint64
-	Evictions    uint64
-	Drops        uint64 // evictions that discarded data (non-swappable)
+	Hits         int64
+	Misses       int64
+	Evictions    int64
+	Drops        int64 // evictions that discarded data (non-swappable)
 	SwapOutBytes int64
 	SwapInBytes  int64
 	MemBytes     int64 // current resident bytes
+}
+
+// Add accumulates o into s: the sum over several managers.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Drops += o.Drops
+	s.SwapOutBytes += o.SwapOutBytes
+	s.SwapInBytes += o.SwapInBytes
+	s.MemBytes += o.MemBytes
 }
 
 type entry struct {

@@ -2,10 +2,14 @@ package ctl
 
 import (
 	"net"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"deca/internal/obs"
+	"deca/internal/serial"
 	"deca/internal/transport"
 )
 
@@ -24,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	e.bool(true)
 	e.bytes([]byte{0, 1, 2, 255})
 	appendOutputID(&e, transport.MapOutputID{Shuffle: 9, MapTask: 3, Reduce: 11})
-	e.b = appendSnapshot(e.b, MetricsSnapshot{ShuffleRecords: 123, RemoteShuffleBytes: 1 << 30, CacheMemBytes: -5})
+	e.b = appendSnapshot(e.b, MetricsSnapshot{123, 1 << 30, -5})
 
 	done := make(chan error, 1)
 	go func() { done <- ca.send(msgHeartbeat, e.b) }()
@@ -58,7 +62,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Errorf("output id = %v", id)
 	}
 	snap := decodeSnapshot(d)
-	if snap.ShuffleRecords != 123 || snap.RemoteShuffleBytes != 1<<30 || snap.CacheMemBytes != -5 {
+	if !slices.Equal(snap, MetricsSnapshot{123, 1 << 30, -5}) {
 		t.Errorf("snapshot = %+v", snap)
 	}
 	if !d.ok() {
@@ -101,5 +105,57 @@ func TestDriverSpawnTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("bring-up failure took %v", elapsed)
+	}
+}
+
+// TestDecodeEventsMalformedCounts: a heartbeat whose event count or
+// per-event field count is far beyond what its bytes hold is rejected
+// without a presize panic ("makeslice: cap out of range" took down the
+// driver's read loop) and without spinning through the claimed count.
+func TestDecodeEventsMalformedCounts(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"events":  serial.AppendUvarint(appendSnapshot(nil, MetricsSnapshot{}), 1<<50),
+		"fields":  serial.AppendUvarint(serial.AppendUvarint(appendSnapshot(nil, MetricsSnapshot{}), 1), 1<<62),
+		"varints": serial.AppendUvarint(nil, 1<<50),
+	} {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan []obs.Event, 1)
+			go func() {
+				d := &dec{b: payload}
+				decodeSnapshot(d)
+				done <- decodeEvents(d)
+			}()
+			select {
+			case evs := <-done:
+				if len(evs) != 0 {
+					t.Errorf("decoded %d events from a %d-byte payload", len(evs), len(payload))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("decoding a malformed heartbeat did not return")
+			}
+		})
+	}
+}
+
+// TestReadGrowsWithArrivingBytes: a peer that declares a maxFrame-sized
+// frame, sends a few bytes and hangs up costs the reader about what it
+// sent, not the declared gigabyte — the driver reads a connection's first
+// frame before it has checked the hello token.
+func TestReadGrowsWithArrivingBytes(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		a.Write(append(serial.AppendUvarint(nil, maxFrame), msgHello, 1, 2, 3))
+		a.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := newRPCConn(b).read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("read returned a frame the peer never finished sending")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrame/64 {
+		t.Errorf("reading a truncated %d-byte frame allocated %d bytes", maxFrame, grew)
 	}
 }

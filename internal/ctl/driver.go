@@ -346,10 +346,13 @@ func (d *Driver) readLoop(st *execState) {
 		switch t {
 		case msgHeartbeat:
 			snap := decodeSnapshot(dd)
+			snapOK := dd.ok()
 			evs := decodeEvents(dd)
 			st.mu.Lock()
 			st.lastBeat = time.Now()
-			st.lastSnap = snap
+			if snapOK {
+				st.lastSnap = snap
+			}
 			st.mu.Unlock()
 			if len(evs) > 0 && d.cfg.OnEvents != nil {
 				d.cfg.OnEvents(st.id, evs)

@@ -21,7 +21,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -158,68 +157,34 @@ func decodeTaskResult(d *dec) (taskID uint64, res TaskResult) {
 	return taskID, res
 }
 
-// MetricsSnapshot is the executor-owned counter set carried by
-// heartbeats and metrics replies, merged into the driver's cluster view.
-type MetricsSnapshot struct {
-	ShuffleRecords       int64
-	ShuffleSpillBytes    int64
-	LocalShuffleFetches  int64
-	RemoteShuffleFetches int64
-	RemoteShuffleBytes   int64
-	CacheHits            int64
-	CacheMisses          int64
-	CacheEvictions       int64
-	CacheDrops           int64
-	SwapOutBytes         int64
-	SwapInBytes          int64
-	CacheMemBytes        int64
-	PagesServedZeroCopy  int64
-	BytesSendfile        int64
-	UserspaceCopyBytes   int64
-	// FetchInFlightBytes is a gauge (not a counter): the bytes of map
-	// output the executor's reduce fetch pipelines currently hold
-	// reserved. Appended after the original 15 fields; the count-prefixed
-	// wire layout lets old decoders skip it and old encoders omit it.
-	FetchInFlightBytes int64
-}
-
-func (m MetricsSnapshot) fields() []int64 {
-	return []int64{
-		m.ShuffleRecords, m.ShuffleSpillBytes,
-		m.LocalShuffleFetches, m.RemoteShuffleFetches, m.RemoteShuffleBytes,
-		m.CacheHits, m.CacheMisses, m.CacheEvictions, m.CacheDrops,
-		m.SwapOutBytes, m.SwapInBytes, m.CacheMemBytes,
-		m.PagesServedZeroCopy, m.BytesSendfile, m.UserspaceCopyBytes,
-		m.FetchInFlightBytes,
-	}
-}
+// MetricsSnapshot is an executor's counter values, carried by heartbeats
+// and metrics replies. The control plane treats it as an opaque vector:
+// its order is the engine's counter table, so ctl names no counter. The
+// count prefix on the wire lets a reader tell a short vector from a
+// truncated frame.
+type MetricsSnapshot []int64
 
 func appendSnapshot(dst []byte, m MetricsSnapshot) []byte {
-	f := m.fields()
-	dst = serial.AppendUvarint(dst, uint64(len(f)))
-	for _, v := range f {
+	dst = serial.AppendUvarint(dst, uint64(len(m)))
+	for _, v := range m {
 		dst = serial.AppendVarint(dst, v)
 	}
 	return dst
 }
 
 func decodeSnapshot(d *dec) MetricsSnapshot {
-	n := int(d.uint())
-	vals := make([]int64, 16)
-	for i := 0; i < n; i++ {
-		v := d.int()
-		if i < len(vals) {
-			vals[i] = v
-		}
+	n := d.uint()
+	if n > uint64(len(d.b)) { // every value takes at least one byte
+		d.bad = true
 	}
-	return MetricsSnapshot{
-		ShuffleRecords: vals[0], ShuffleSpillBytes: vals[1],
-		LocalShuffleFetches: vals[2], RemoteShuffleFetches: vals[3], RemoteShuffleBytes: vals[4],
-		CacheHits: vals[5], CacheMisses: vals[6], CacheEvictions: vals[7], CacheDrops: vals[8],
-		SwapOutBytes: vals[9], SwapInBytes: vals[10], CacheMemBytes: vals[11],
-		PagesServedZeroCopy: vals[12], BytesSendfile: vals[13], UserspaceCopyBytes: vals[14],
-		FetchInFlightBytes: vals[15],
+	if d.bad {
+		return nil
 	}
+	m := make(MetricsSnapshot, n)
+	for i := range m {
+		m[i] = d.int()
+	}
+	return m
 }
 
 // Heartbeat event shipping: after the snapshot, a heartbeat payload may
@@ -260,11 +225,13 @@ func decodeEvents(d *dec) []obs.Event {
 	if n <= 0 || !d.ok() {
 		return nil
 	}
-	evs := make([]obs.Event, 0, n)
+	// n is read off the wire: presize by what the remaining bytes can
+	// hold (an event takes at least two: its field count and its Key).
+	evs := make([]obs.Event, 0, min(n, len(d.b)/2))
 	for i := 0; i < n && d.ok(); i++ {
 		nf := int(d.uint())
-		vals := make([]int64, eventNumFields)
-		for j := 0; j < nf; j++ {
+		var vals [eventNumFields]int64
+		for j := 0; j < nf && d.ok(); j++ {
 			v := d.int()
 			if j < len(vals) {
 				vals[j] = v
@@ -420,8 +387,11 @@ func (c *rpcConn) read() (byte, []byte, error) {
 	if n == 0 || n > maxFrame {
 		return 0, nil, fmt.Errorf("ctl: implausible frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.br, buf); err != nil {
+	// The buffer grows as the body arrives, so a peer that declares a
+	// large frame and stalls (or is not a follower at all: the driver
+	// reads before it checks the hello token) costs what it sends.
+	buf, err := serial.ReadGrowing(c.br, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
 	return buf[0], buf[1:], nil

@@ -365,11 +365,12 @@ type Metrics struct {
 	LocalShuffleFetches  atomic.Int64
 	RemoteShuffleFetches atomic.Int64
 	RemoteShuffleBytes   atomic.Int64
-	// Serve-path copy accounting, mirrored from transport.Stats on
-	// MetricsRef (single process) or SyncClusterMetrics (multiproc):
-	// pages served in place by the vectored data plane, bytes served
-	// from spill files through the sendfile-eligible path, and bytes the
-	// serve path staged through user-space buffers.
+	// Serve-path copy accounting, copied from transport.Stats through the
+	// counter table by MetricsRef (single process) or SyncClusterMetrics
+	// (multiproc): pages served in place by the vectored data plane,
+	// bytes served from spill files through the sendfile-eligible path,
+	// and bytes the serve path staged through user-space buffers. Kept
+	// on the Context only.
 	PagesServedZeroCopy     atomic.Int64
 	BytesSendfile           atomic.Int64
 	ServeUserspaceCopyBytes atomic.Int64
@@ -806,14 +807,7 @@ func (c *Context) CacheStats() cache.Stats {
 	}
 	var total cache.Stats
 	for _, ex := range c.execs {
-		s := ex.cache.Stats()
-		total.Hits += s.Hits
-		total.Misses += s.Misses
-		total.Evictions += s.Evictions
-		total.Drops += s.Drops
-		total.SwapOutBytes += s.SwapOutBytes
-		total.SwapInBytes += s.SwapInBytes
-		total.MemBytes += s.MemBytes
+		total.Add(ex.cache.Stats())
 	}
 	return total
 }
@@ -826,9 +820,11 @@ func (c *Context) CacheStats() cache.Stats {
 func (c *Context) MetricsRef() *Metrics {
 	if c.driver == nil && c.trans != nil {
 		st := c.trans.Stats()
-		c.metrics.PagesServedZeroCopy.Store(st.PagesServedZeroCopy)
-		c.metrics.BytesSendfile.Store(st.BytesSendfile)
-		c.metrics.ServeUserspaceCopyBytes.Store(st.UserspaceCopyBytes)
+		for i := range counters {
+			if d := &counters[i]; d.src == srcServe {
+				d.metric(&c.metrics).Store(*d.serve(&st))
+			}
+		}
 	}
 	return &c.metrics
 }

@@ -162,43 +162,28 @@ func (c *Context) RegisterPlan(spec []byte) {
 }
 
 // SyncClusterMetrics pulls fresh counters from every executor process
-// into the driver's metrics (shuffle records, spill, fetch locality,
-// cache stats). A no-op for in-process deployments, whose counters are
-// maintained directly.
+// and stores their cluster sums: the shipped Metrics counters into the
+// driver's metrics, the cache counters for CacheStats. The sums are
+// absolute, so a repeated sync changes nothing. A no-op for in-process
+// deployments, whose counters are maintained directly.
 func (c *Context) SyncClusterMetrics() {
 	if c.driver == nil {
 		return
 	}
 	snaps := c.driver.d.SyncMetrics(5 * time.Second)
-	var sum ctl.MetricsSnapshot
 	var cs cache.Stats
-	for _, s := range snaps {
-		sum.ShuffleRecords += s.ShuffleRecords
-		sum.ShuffleSpillBytes += s.ShuffleSpillBytes
-		sum.LocalShuffleFetches += s.LocalShuffleFetches
-		sum.RemoteShuffleFetches += s.RemoteShuffleFetches
-		sum.RemoteShuffleBytes += s.RemoteShuffleBytes
-		sum.PagesServedZeroCopy += s.PagesServedZeroCopy
-		sum.BytesSendfile += s.BytesSendfile
-		sum.UserspaceCopyBytes += s.UserspaceCopyBytes
-		sum.FetchInFlightBytes += s.FetchInFlightBytes
-		cs.Hits += uint64(s.CacheHits)
-		cs.Misses += uint64(s.CacheMisses)
-		cs.Evictions += uint64(s.CacheEvictions)
-		cs.Drops += uint64(s.CacheDrops)
-		cs.SwapOutBytes += s.SwapOutBytes
-		cs.SwapInBytes += s.SwapInBytes
-		cs.MemBytes += s.CacheMemBytes
+	for i := range counters {
+		var sum int64
+		for _, s := range snaps {
+			sum += snapshotValue(s, i)
+		}
+		switch d := &counters[i]; d.src {
+		case srcData, srcServe:
+			d.metric(&c.metrics).Store(sum)
+		case srcCache:
+			*d.cache(&cs) = sum
+		}
 	}
-	c.metrics.ShuffleRecords.Store(sum.ShuffleRecords)
-	c.metrics.ShuffleSpillBytes.Store(sum.ShuffleSpillBytes)
-	c.metrics.LocalShuffleFetches.Store(sum.LocalShuffleFetches)
-	c.metrics.RemoteShuffleFetches.Store(sum.RemoteShuffleFetches)
-	c.metrics.RemoteShuffleBytes.Store(sum.RemoteShuffleBytes)
-	c.metrics.PagesServedZeroCopy.Store(sum.PagesServedZeroCopy)
-	c.metrics.BytesSendfile.Store(sum.BytesSendfile)
-	c.metrics.ServeUserspaceCopyBytes.Store(sum.UserspaceCopyBytes)
-	c.metrics.FetchInFlightBytes.Store(sum.FetchInFlightBytes)
 	c.driver.mu.Lock()
 	c.driver.remote = cs
 	c.driver.mu.Unlock()
@@ -516,41 +501,27 @@ func (r followerRuntime) ReleaseDataset(dataset, epoch int) {
 	st.ReleaseEpoch(epoch)
 }
 
+// Snapshot reads this process's counters into their table rows; the rows
+// only the driver counts stay zero.
 func (r followerRuntime) Snapshot() ctl.MetricsSnapshot {
 	c := r.c
-	var cs cache.Stats
-	for _, ex := range c.execs {
-		s := ex.cache.Stats()
-		cs.Hits += s.Hits
-		cs.Misses += s.Misses
-		cs.Evictions += s.Evictions
-		cs.Drops += s.Drops
-		cs.SwapOutBytes += s.SwapOutBytes
-		cs.SwapInBytes += s.SwapInBytes
-		cs.MemBytes += s.MemBytes
-	}
+	cs := c.CacheStats()
 	var ts transport.Stats
 	if c.trans != nil {
 		ts = c.trans.Stats()
 	}
-	return ctl.MetricsSnapshot{
-		ShuffleRecords:       c.metrics.ShuffleRecords.Load(),
-		ShuffleSpillBytes:    c.metrics.ShuffleSpillBytes.Load(),
-		LocalShuffleFetches:  c.metrics.LocalShuffleFetches.Load(),
-		RemoteShuffleFetches: c.metrics.RemoteShuffleFetches.Load(),
-		RemoteShuffleBytes:   c.metrics.RemoteShuffleBytes.Load(),
-		CacheHits:            int64(cs.Hits),
-		CacheMisses:          int64(cs.Misses),
-		CacheEvictions:       int64(cs.Evictions),
-		CacheDrops:           int64(cs.Drops),
-		SwapOutBytes:         cs.SwapOutBytes,
-		SwapInBytes:          cs.SwapInBytes,
-		CacheMemBytes:        cs.MemBytes,
-		PagesServedZeroCopy:  ts.PagesServedZeroCopy,
-		BytesSendfile:        ts.BytesSendfile,
-		UserspaceCopyBytes:   ts.UserspaceCopyBytes,
-		FetchInFlightBytes:   c.metrics.FetchInFlightBytes.Load(),
+	snap := make(ctl.MetricsSnapshot, len(counters))
+	for i := range counters {
+		switch d := &counters[i]; d.src {
+		case srcData:
+			snap[i] = d.metric(&c.metrics).Load()
+		case srcServe:
+			snap[i] = *d.serve(&ts)
+		case srcCache:
+			snap[i] = *d.cache(&cs)
+		}
 	}
+	return snap
 }
 
 // DrainEvents implements ctl.EventSource: each heartbeat ships the

@@ -73,165 +73,29 @@ func (c *Context) OpsAddr() string {
 	return c.ops.ln.Addr().String()
 }
 
-// execCounterRow is one per-executor slice of the /metrics surface.
-type execCounterRow struct {
-	tasksRun, tasksFailed, taskRetries       int64
-	speculativeLaunched, speculativeWon      int64
-	shuffleRecords, shuffleSpillBytes        int64
-	localFetches, remoteFetches, remoteBytes int64
-	pagesZeroCopy, bytesSendfile, copyBytes  int64
-	fetchInFlightBytes                       int64
-}
-
-// execCounters assembles the per-executor counter rows. Scheduler-side
-// task counters always live in the driver's per-executor Metrics; the
-// data-plane counters come from there too for in-process deployments,
-// and from the latest heartbeat snapshots for a multiproc driver (whose
-// data plane runs in the executor processes).
-func (o *opsServer) execCounters() []execCounterRow {
-	c := o.c
-	rows := make([]execCounterRow, len(c.execs))
-	for i, ex := range c.execs {
-		em := &ex.metrics
-		rows[i] = execCounterRow{
-			tasksRun:            em.TasksRun.Load(),
-			tasksFailed:         em.TasksFailed.Load(),
-			taskRetries:         em.TaskRetries.Load(),
-			speculativeLaunched: em.SpeculativeLaunched.Load(),
-			speculativeWon:      em.SpeculativeWon.Load(),
-		}
-	}
-	if c.driver != nil {
-		for _, st := range c.driver.d.Statuses() {
-			if st.Exec < 0 || st.Exec >= len(rows) {
-				continue
-			}
-			s := st.Snapshot
-			r := &rows[st.Exec]
-			r.shuffleRecords = s.ShuffleRecords
-			r.shuffleSpillBytes = s.ShuffleSpillBytes
-			r.localFetches = s.LocalShuffleFetches
-			r.remoteFetches = s.RemoteShuffleFetches
-			r.remoteBytes = s.RemoteShuffleBytes
-			r.pagesZeroCopy = s.PagesServedZeroCopy
-			r.bytesSendfile = s.BytesSendfile
-			r.copyBytes = s.UserspaceCopyBytes
-			r.fetchInFlightBytes = s.FetchInFlightBytes
-		}
-		return rows
-	}
-	for i, ex := range c.execs {
-		em := &ex.metrics
-		r := &rows[i]
-		r.shuffleRecords = em.ShuffleRecords.Load()
-		r.shuffleSpillBytes = em.ShuffleSpillBytes.Load()
-		r.localFetches = em.LocalShuffleFetches.Load()
-		r.remoteFetches = em.RemoteShuffleFetches.Load()
-		r.remoteBytes = em.RemoteShuffleBytes.Load()
-		r.fetchInFlightBytes = em.FetchInFlightBytes.Load()
-	}
-	return rows
-}
-
+// handleMetrics writes the counter table as Prometheus text: first the
+// per-executor families, then the cluster-wide ones, each family one
+// group under its TYPE line.
 func (o *opsServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	c := o.c
 	c.drainLocalEvents()
+	vals := c.readCounters()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-
-	rows := o.execCounters()
-	perExec := []struct {
-		name string
-		get  func(r *execCounterRow) int64
-	}{
-		{"deca_exec_tasks_run_total", func(r *execCounterRow) int64 { return r.tasksRun }},
-		{"deca_exec_tasks_failed_total", func(r *execCounterRow) int64 { return r.tasksFailed }},
-		{"deca_exec_task_retries_total", func(r *execCounterRow) int64 { return r.taskRetries }},
-		{"deca_exec_speculative_launched_total", func(r *execCounterRow) int64 { return r.speculativeLaunched }},
-		{"deca_exec_speculative_won_total", func(r *execCounterRow) int64 { return r.speculativeWon }},
-		{"deca_exec_shuffle_records_total", func(r *execCounterRow) int64 { return r.shuffleRecords }},
-		{"deca_exec_shuffle_spill_bytes_total", func(r *execCounterRow) int64 { return r.shuffleSpillBytes }},
-		{"deca_exec_local_shuffle_fetches_total", func(r *execCounterRow) int64 { return r.localFetches }},
-		{"deca_exec_remote_shuffle_fetches_total", func(r *execCounterRow) int64 { return r.remoteFetches }},
-		{"deca_exec_remote_shuffle_bytes_total", func(r *execCounterRow) int64 { return r.remoteBytes }},
-		{"deca_exec_pages_served_zero_copy_total", func(r *execCounterRow) int64 { return r.pagesZeroCopy }},
-		{"deca_exec_bytes_sendfile_total", func(r *execCounterRow) int64 { return r.bytesSendfile }},
-		{"deca_exec_serve_userspace_copy_bytes_total", func(r *execCounterRow) int64 { return r.copyBytes }},
-		{"deca_exec_fetch_in_flight_bytes", func(r *execCounterRow) int64 { return r.fetchInFlightBytes }},
-	}
-	for _, m := range perExec {
-		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, promType(m.name))
-		for i := range rows {
-			fmt.Fprintf(&b, "%s{exec=%q} %d\n", m.name, fmt.Sprint(i), m.get(&rows[i]))
+	for i := range counters {
+		if d := &counters[i]; len(vals[i].perExec) > 0 {
+			fmt.Fprintf(&b, "# TYPE deca_exec_%s %s\n", d.name, d.promType())
+			for _, v := range vals[i].perExec {
+				fmt.Fprintf(&b, "deca_exec_%s{exec=\"%d\"} %d\n", d.name, v.exec, v.v)
+			}
 		}
 	}
-
-	// Cluster aggregates. Task counters are driver-resident; data-plane
-	// counters sum the per-executor rows so a multiproc scrape is live
-	// without a control-plane round trip.
-	cm := c.MetricsRef()
-	var sum execCounterRow
-	for i := range rows {
-		r := &rows[i]
-		sum.shuffleRecords += r.shuffleRecords
-		sum.shuffleSpillBytes += r.shuffleSpillBytes
-		sum.localFetches += r.localFetches
-		sum.remoteFetches += r.remoteFetches
-		sum.remoteBytes += r.remoteBytes
-		sum.pagesZeroCopy += r.pagesZeroCopy
-		sum.bytesSendfile += r.bytesSendfile
-		sum.copyBytes += r.copyBytes
-		sum.fetchInFlightBytes += r.fetchInFlightBytes
+	for i := range counters {
+		if d := &counters[i]; vals[i].hasCluster {
+			fmt.Fprintf(&b, "# TYPE deca_%s %s\ndeca_%s %d\n", d.name, d.promType(), d.name, vals[i].cluster)
+		}
 	}
-	if c.driver == nil {
-		// In-process serve stats are kept cluster-level by the transport.
-		sum.pagesZeroCopy = cm.PagesServedZeroCopy.Load()
-		sum.bytesSendfile = cm.BytesSendfile.Load()
-		sum.copyBytes = cm.ServeUserspaceCopyBytes.Load()
-	}
-	cluster := []struct {
-		name string
-		v    int64
-	}{
-		{"deca_tasks_run_total", cm.TasksRun.Load()},
-		{"deca_tasks_failed_total", cm.TasksFailed.Load()},
-		{"deca_task_retries_total", cm.TaskRetries.Load()},
-		{"deca_lineage_map_reruns_total", cm.LineageMapReruns.Load()},
-		{"deca_speculative_launched_total", cm.SpeculativeLaunched.Load()},
-		{"deca_speculative_won_total", cm.SpeculativeWon.Load()},
-		{"deca_executors_blacklisted_total", cm.ExecutorsBlacklisted.Load()},
-		{"deca_shuffle_records_total", sum.shuffleRecords},
-		{"deca_shuffle_spill_bytes_total", sum.shuffleSpillBytes},
-		{"deca_local_shuffle_fetches_total", sum.localFetches},
-		{"deca_remote_shuffle_fetches_total", sum.remoteFetches},
-		{"deca_remote_shuffle_bytes_total", sum.remoteBytes},
-		{"deca_pages_served_zero_copy_total", sum.pagesZeroCopy},
-		{"deca_bytes_sendfile_total", sum.bytesSendfile},
-		{"deca_serve_userspace_copy_bytes_total", sum.copyBytes},
-		{"deca_fetch_in_flight_bytes", sum.fetchInFlightBytes},
-	}
-	for _, m := range cluster {
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", m.name, promType(m.name), m.name, m.v)
-	}
-
-	// The latest GC samples and event accounting, from the view.
-	for _, x := range c.view.Executors() {
-		label := fmt.Sprint(x.Exec)
-		fmt.Fprintf(&b, "deca_exec_gc_cpu_nanos{exec=%q} %d\n", label, x.GCCPUNanos)
-		fmt.Fprintf(&b, "deca_exec_heap_live_bytes{exec=%q} %d\n", label, x.HeapLiveBytes)
-	}
-	fmt.Fprintf(&b, "deca_obs_events_dropped_total %d\n", c.view.Dropped())
-
 	w.Write([]byte(b.String()))
-}
-
-// promType derives the metric type from the naming convention: *_total
-// counters, everything else a gauge.
-func promType(name string) string {
-	if strings.HasSuffix(name, "_total") {
-		return "counter"
-	}
-	return "gauge"
 }
 
 func (o *opsServer) writeJSON(w http.ResponseWriter, v any) {
@@ -268,12 +132,19 @@ func (o *opsServer) handleExecutors(w http.ResponseWriter, _ *http.Request) {
 	for _, x := range c.view.Executors() {
 		obsByExec[x.Exec] = x
 	}
-	rows := o.execCounters()
+	var inFlight []execValue
+	for i, v := range c.readCounters() {
+		if counters[i].name == "fetch_in_flight_bytes" {
+			inFlight = v.perExec
+		}
+	}
 	out := make([]opsExecutor, 0, len(c.execs))
 	for _, st := range c.cluster.States() {
 		row := opsExecutor{ExecutorState: st}
-		if st.Exec >= 0 && st.Exec < len(rows) {
-			row.FetchInFlightBytes = rows[st.Exec].fetchInFlightBytes
+		for _, v := range inFlight {
+			if v.exec == st.Exec {
+				row.FetchInFlightBytes = v.v
+			}
 		}
 		if x, ok := obsByExec[int32(st.Exec)]; ok {
 			xc := x

@@ -7,9 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"deca/internal/promtext"
 )
 
 // opsGet fetches one ops endpoint and returns the body.
@@ -194,5 +197,77 @@ func TestCloseStopsObservability(t *testing.T) {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// metricsGolden is the /metrics structure of an in-process cluster (both
+// transports): every family with its type and label keys. Serve-path
+// copy counters have no per-executor family here because the transport
+// keeps them for the whole process.
+var metricsGolden = []string{
+	"deca_bytes_sendfile_total counter -",
+	"deca_exec_gc_cpu_nanos counter exec",
+	"deca_exec_heap_live_bytes gauge exec",
+	"deca_exec_fetch_in_flight_bytes gauge exec",
+	"deca_exec_local_shuffle_fetches_total counter exec",
+	"deca_exec_remote_shuffle_bytes_total counter exec",
+	"deca_exec_remote_shuffle_fetches_total counter exec",
+	"deca_exec_shuffle_records_total counter exec",
+	"deca_exec_shuffle_spill_bytes_total counter exec",
+	"deca_exec_speculative_launched_total counter exec",
+	"deca_exec_speculative_won_total counter exec",
+	"deca_exec_task_retries_total counter exec",
+	"deca_exec_tasks_failed_total counter exec",
+	"deca_exec_tasks_run_total counter exec",
+	"deca_executors_blacklisted_total counter -",
+	"deca_fetch_in_flight_bytes gauge -",
+	"deca_lineage_map_reruns_total counter -",
+	"deca_local_shuffle_fetches_total counter -",
+	"deca_obs_events_dropped_total counter -",
+	"deca_pages_served_zero_copy_total counter -",
+	"deca_remote_shuffle_bytes_total counter -",
+	"deca_remote_shuffle_fetches_total counter -",
+	"deca_serve_userspace_copy_bytes_total counter -",
+	"deca_shuffle_records_total counter -",
+	"deca_shuffle_spill_bytes_total counter -",
+	"deca_speculative_launched_total counter -",
+	"deca_speculative_won_total counter -",
+	"deca_task_retries_total counter -",
+	"deca_tasks_failed_total counter -",
+	"deca_tasks_run_total counter -",
+}
+
+// TestMetricsExposition pins /metrics after a 2-executor word count on
+// both in-process transports: well-formed Prometheus text (each family
+// one contiguous group under its TYPE line), exactly the golden set of
+// families, and per-executor rows that add up to the cluster value
+// wherever a counter is exposed at both levels.
+func TestMetricsExposition(t *testing.T) {
+	for _, dk := range []DeployKind{DeployInProcess, DeployTCP} {
+		t.Run(dk.String(), func(t *testing.T) {
+			ctx := New(Config{
+				NumExecutors: 2,
+				Parallelism:  2,
+				Mode:         ModeDeca,
+				PageSize:     4096,
+				SpillDir:     t.TempDir(),
+				OpsAddr:      "127.0.0.1:0",
+				DeployKind:   dk,
+			})
+			t.Cleanup(ctx.Close)
+			wordCountOn(t, ctx)
+			fams, err := promtext.Parse(string(opsGet(t, ctx.OpsAddr(), "/metrics")))
+			if err != nil {
+				t.Fatalf("/metrics is not well-formed: %v", err)
+			}
+			want := slices.Clone(metricsGolden)
+			slices.Sort(want)
+			if got := promtext.Shape(fams); !slices.Equal(got, want) {
+				t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			if err := promtext.CheckSums(fams, "deca_exec_", "deca_"); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

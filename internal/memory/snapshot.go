@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
+
+	"deca/internal/serial"
 )
 
 // The page-group wire frame: because a group already holds records as
@@ -94,7 +95,7 @@ func (g *Group) readPage(r io.Reader, n int) error {
 	var body []byte
 	if n > g.m.pageSize {
 		var err error
-		if body, err = readGrowing(r, n); err != nil {
+		if body, err = serial.ReadGrowing(r, n); err != nil {
 			return err
 		}
 	}
@@ -110,21 +111,4 @@ func (g *Group) readPage(r io.Reader, n int) error {
 	}
 	_, err := io.ReadFull(r, page)
 	return err
-}
-
-// readGrowing reads exactly n bytes into a buffer that doubles as the
-// bytes arrive instead of being sized from n up front.
-func readGrowing(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, 0, min(n, 1<<20))
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
-		}
-		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
-		buf = buf[:len(buf)+k]
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

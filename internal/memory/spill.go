@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"deca/internal/serial"
 )
 
 // Raw page I/O (Appendix C): decomposed data bytes are written to and read
@@ -63,7 +65,7 @@ func ReadGroupFrom(m *Manager, r io.Reader) (*Group, error) {
 	if 4*uint64(numPages) >= maxSnapshotPage {
 		return nil, fmt.Errorf("memory: implausible spill page count %d", numPages)
 	}
-	lens, err := readGrowing(r, 4*int(numPages))
+	lens, err := serial.ReadGrowing(r, 4*int(numPages))
 	if err != nil {
 		return nil, fmt.Errorf("memory: reading spill page lengths: %w", err)
 	}

@@ -8,7 +8,9 @@ package serial
 
 import (
 	"encoding/binary"
+	"io"
 	"math"
+	"slices"
 )
 
 // Serializer converts values of T to and from a compact byte stream.
@@ -225,3 +227,21 @@ type Func[T any] struct {
 
 func (f Func[T]) Marshal(dst []byte, v T) []byte { return f.MarshalFunc(dst, v) }
 func (f Func[T]) Unmarshal(src []byte) (T, int)  { return f.UnmarshalFunc(src) }
+
+// ReadGrowing reads exactly n bytes into a buffer that doubles as the
+// bytes arrive instead of being sized from n up front, so a length read
+// off the wire costs only the bytes that actually follow it.
+func ReadGrowing(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 1<<20))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), cap(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}

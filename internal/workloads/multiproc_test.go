@@ -2,12 +2,16 @@ package workloads
 
 import (
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"deca/internal/chaos"
 	"deca/internal/engine"
+	"deca/internal/promtext"
 )
 
 // TestMain doubles as the deca-executor binary for multiproc tests: the
@@ -263,6 +267,97 @@ func TestSyncClusterMetricsIdempotent(t *testing.T) {
 	ctx.SyncClusterMetrics()
 	if second := read(); second != first {
 		t.Errorf("duplicate sync changed counters: %v -> %v", first, second)
+	}
+}
+
+// TestMultiprocMetricsExposition pins the driver's /metrics on a
+// 2-process word count: well-formed Prometheus text, exactly these
+// families, and per-executor rows (read from the executors' heartbeat
+// snapshots) that add up to each cluster value. Unlike the in-process
+// deployments, each executor process has its own transport, so the
+// serve-path copy counters have per-executor families too.
+func TestMultiprocMetricsExposition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns executor processes")
+	}
+	params := WCParams{DistinctKeys: 2_000, WordsPerLine: 8, Lines: 3_000}
+	cfg := multiprocCfg(t, 2).withDefaults()
+	cfg.OpsAddr = "127.0.0.1:0"
+	ctx := cfg.newEngine()
+	defer ctx.Close()
+	raw, err := json.Marshal(PlanSpec{Workload: "wc", Config: cfg, WC: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.RegisterPlan(raw)
+	if _, err := wcBody(cfg, params)(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ctx.SyncClusterMetrics()
+
+	resp, err := http.Get("http://" + ctx.OpsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(string(body))
+	if err != nil {
+		t.Fatalf("/metrics is not well-formed: %v", err)
+	}
+	want := []string{
+		"deca_bytes_sendfile_total counter -",
+		"deca_exec_bytes_sendfile_total counter exec",
+		"deca_exec_fetch_in_flight_bytes gauge exec",
+		"deca_exec_gc_cpu_nanos counter exec",
+		"deca_exec_heap_live_bytes gauge exec",
+		"deca_exec_local_shuffle_fetches_total counter exec",
+		"deca_exec_pages_served_zero_copy_total counter exec",
+		"deca_exec_remote_shuffle_bytes_total counter exec",
+		"deca_exec_remote_shuffle_fetches_total counter exec",
+		"deca_exec_serve_userspace_copy_bytes_total counter exec",
+		"deca_exec_shuffle_records_total counter exec",
+		"deca_exec_shuffle_spill_bytes_total counter exec",
+		"deca_exec_speculative_launched_total counter exec",
+		"deca_exec_speculative_won_total counter exec",
+		"deca_exec_task_retries_total counter exec",
+		"deca_exec_tasks_failed_total counter exec",
+		"deca_exec_tasks_run_total counter exec",
+		"deca_executors_blacklisted_total counter -",
+		"deca_fetch_in_flight_bytes gauge -",
+		"deca_lineage_map_reruns_total counter -",
+		"deca_local_shuffle_fetches_total counter -",
+		"deca_obs_events_dropped_total counter -",
+		"deca_pages_served_zero_copy_total counter -",
+		"deca_remote_shuffle_bytes_total counter -",
+		"deca_remote_shuffle_fetches_total counter -",
+		"deca_serve_userspace_copy_bytes_total counter -",
+		"deca_shuffle_records_total counter -",
+		"deca_shuffle_spill_bytes_total counter -",
+		"deca_speculative_launched_total counter -",
+		"deca_speculative_won_total counter -",
+		"deca_task_retries_total counter -",
+		"deca_tasks_failed_total counter -",
+		"deca_tasks_run_total counter -",
+	}
+	if got := promtext.Shape(fams); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if err := promtext.CheckSums(fams, "deca_exec_", "deca_"); err != nil {
+		t.Error(err)
+	}
+	// The per-executor rows carry real data-plane traffic, not zeros.
+	for _, f := range fams {
+		if f.Name == "deca_exec_shuffle_records_total" {
+			for _, s := range f.Samples {
+				if s.Value == 0 {
+					t.Errorf("executor %s reports no shuffle records", s.Labels["exec"])
+				}
+			}
+		}
 	}
 }
 
